@@ -32,6 +32,12 @@ def pair_index(i: int, j: int, n: int) -> int:
     return u * n - u * (u + 1) // 2 + (j - i - 1)
 
 
+def pair_indices(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Vectorized pair_index for 1-indexed endpoint arrays with i < j (unchecked)."""
+    u = i.astype(np.int64) - 1
+    return u * n - u * (u + 1) // 2 + (j.astype(np.int64) - i - 1)
+
+
 @lru_cache(maxsize=64)
 def pair_endpoints(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (I, J) of 0-indexed endpoints for every pair index on n vertices."""
@@ -77,13 +83,28 @@ class AdjacencyGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "AdjacencyGraph":
-        bits = 0
-        for i, j in edges:
-            if i == j:
-                raise ValueError(f"self-loop ({i}, {i}) not allowed")
-            a, b = (i, j) if i < j else (j, i)
-            bits |= 1 << pair_index(a, b, n)
-        return cls(n, bits)
+        """Graph with the given (i, j) edges, in either orientation; repeats are no-ops."""
+        pairs = np.array(list(edges))
+        if pairs.size == 0:
+            return cls(n, 0)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edges must be (i, j) pairs")
+        if pairs.dtype.kind not in "iu":
+            raise TypeError("edge endpoints must be integers")
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        bad = (lo == hi) | (lo < 1) | (hi > n)
+        if bad.any():
+            k = int(np.argmax(bad))  # the first bad edge, as a scan would report it
+            a, b = int(lo[k]), int(hi[k])
+            if a == b:
+                raise ValueError(f"self-loop ({a}, {a}) not allowed")
+            raise ValueError(f"pair ({a}, {b}) out of range for n={n}")
+        idx = pair_indices(lo, hi, n)
+        # sized to the highest edge, not to C(n, 2): a sparse graph on a huge
+        # vertex count costs no more than its bitset integer
+        vec = np.zeros(int(idx.max()) + 1, dtype=bool)
+        vec[idx] = True
+        return cls(n, _pack(vec))
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "AdjacencyGraph":

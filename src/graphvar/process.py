@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -23,6 +24,7 @@ from .graphs import (
     apply_map,
     num_pairs,
     pair_endpoints,
+    pair_indices,
     restrict,
     seed_list,
 )
@@ -96,12 +98,6 @@ class StepGraphon:
         return self.values[cells[ii], cells[jj]]
 
 
-def _pair_ids(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Vectorized pair index for 1-indexed endpoint arrays with i < j."""
-    u = i.astype(np.int64) - 1
-    return u * n - u * (u + 1) // 2 + (j.astype(np.int64) - i - 1)
-
-
 @dataclass(frozen=True, eq=False)
 class EventLogPath:
     """Initial graph plus single-edge events strictly sorted by (time, i, j)."""
@@ -127,7 +123,7 @@ class EventLogPath:
 
     @property
     def pair_ids(self) -> np.ndarray:
-        return _pair_ids(self.n, self.edge_i, self.edge_j)
+        return pair_indices(self.edge_i, self.edge_j, self.n)
 
     def events(self) -> Iterator[EdgeEvent]:
         for k in range(self.event_count):
@@ -221,7 +217,7 @@ class JumpCounts:
 
     def get(self, i: int, j: int) -> int:
         a, b = (i, j) if i < j else (j, i)
-        return int(self.counts[_pair_ids(self.n, np.array([a]), np.array([b]))[0]])
+        return int(self.counts[pair_indices(np.array([a]), np.array([b]), self.n)[0]])
 
     @property
     def max_jumps(self) -> int:
@@ -261,7 +257,7 @@ def simulate_edge_flip(
     mult = np.ones(npairs)
     if boost_edge is not None:
         a, b = sorted(boost_edge)
-        mult[_pair_ids(n, np.array([a]), np.array([b]))[0]] = boost_factor
+        mult[pair_indices(np.array([a]), np.array([b]), n)[0]] = boost_factor
 
     all_times = []
     all_pairs = []
@@ -506,8 +502,25 @@ def restrict_path(path: EventLogPath, m: int) -> EventLogPath:
 # ---------------------------------------------------------------------------
 # persistence (JSON lines)
 
+# One event line exactly as save_path writes it.  The numbers follow the JSON
+# grammar, so the fast loader accepts no number json.loads would reject;
+# endpoints of up to nine digits fit int32.
+_EVENT_LINE = re.compile(
+    r'^\{"i": ([1-9][0-9]{0,8}), "j": ([1-9][0-9]{0,8}), '
+    r'"t": (-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?), '
+    r'"type": "ev", "v": ([01])\}$',
+    re.MULTILINE,
+)
+_CHUNK_CHARS = 1 << 18  # event text parsed at once; bounds the loader's memory
+
+
 def save_path(path: EventLogPath, file) -> None:
-    """Write the JSONL representation: header, init record, one record per event."""
+    """Write the JSONL representation: header, init record, one record per event.
+
+    Every record is laid out as json.dumps(record, sort_keys=True) lays it out.
+    """
+    if not (math.isfinite(path.horizon) and np.isfinite(path.times).all()):
+        raise ValueError("cannot save a path with a non-finite horizon or event time")
     meta = path.model_meta
     header = {
         "type": "header",
@@ -521,72 +534,59 @@ def save_path(path: EventLogPath, file) -> None:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         init = {"type": "init", "edges": [[i, j] for i, j in path.initial.edges()]}
         fh.write(json.dumps(init, sort_keys=True) + "\n")
-        for k in range(path.event_count):
-            rec = {
-                "type": "ev",
-                "t": float(path.times[k]),
-                "i": int(path.edge_i[k]),
-                "j": int(path.edge_j[k]),
-                "v": int(path.values[k]),
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        # repr of a finite float is the text json.dumps writes for it
+        fh.writelines(
+            f'{{"i": {i}, "j": {j}, "t": {t!r}, "type": "ev", "v": {v}}}\n'
+            for t, i, j, v in zip(
+                path.times.tolist(),
+                path.edge_i.tolist(),
+                path.edge_j.tolist(),
+                path.values.tolist(),
+            )
+        )
 
 
 def load_path(file) -> EventLogPath:
-    """Read a JSONL path; malformed records raise with their line number."""
-    with open(file, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ValueError(f"{file}: empty path file")
+    """Read a JSONL path; malformed records raise with their line number.
 
-    def parse(lineno: int, want: str | None = None) -> dict:
-        try:
-            rec = json.loads(lines[lineno - 1])
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{file}: line {lineno}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(rec, dict) or "type" not in rec:
-            raise ValueError(f"{file}: line {lineno}: record missing 'type'")
-        if want is not None and rec["type"] != want:
-            raise ValueError(f"{file}: line {lineno}: expected {want!r} record")
-        return rec
-
-    header = parse(1, "header")
-    init = parse(2, "init")
+    Event lines in save_path's layout are parsed in bounded chunks by one
+    regular expression.  If any event line has another layout or is out of
+    range, every event line goes through the per-record json parser instead,
+    which alone writes the line-numbered errors; so the accepted files and
+    the error messages do not depend on the layout.
+    """
     try:
-        n = int(header["n"])
-        horizon = float(header["horizon"])
-        initial = AdjacencyGraph.from_edges(n, [tuple(e) for e in init["edges"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{file}: line 1-2: bad header/init record: {exc}") from exc
+        with open(file, "r", encoding="ascii") as fh:
+            head = [fh.readline(), fh.readline()]
+            if not head[0]:
+                raise ValueError(f"{file}: empty path file")
+            header = _parse_record(file, 1, head[0], "header")
+            init = _parse_record(file, 2, head[1], "init")
+            try:
+                n = int(header["n"])
+                horizon = float(header["horizon"])
+                if not math.isfinite(horizon):
+                    raise ValueError(f"horizon must be finite, got {horizon}")
+                initial = AdjacencyGraph.from_edges(n, [tuple(e) for e in init["edges"]])
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{file}: line 1-2: bad header/init record: {exc}") from exc
+            events = _canonical_events(fh, n, horizon)
+            if events is None:
+                fh.seek(0)
+                events = _event_records(file, fh.readlines(), n, horizon)
+    except UnicodeDecodeError:
+        lineno = _first_non_ascii_line(file)
+        raise ValueError(f"{file}: line {lineno}: non-ASCII byte in path file") from None
 
-    times, eis, ejs, vals = [], [], [], []
-    for lineno in range(3, len(lines) + 1):
-        if not lines[lineno - 1].strip():
-            continue
-        rec = parse(lineno, "ev")
-        try:
-            t, i, j, v = float(rec["t"]), int(rec["i"]), int(rec["j"]), int(rec["v"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{file}: line {lineno}: bad event record: {exc}") from exc
-        if not (1 <= i < j <= n):
-            raise ValueError(f"{file}: line {lineno}: need 1 <= i < j <= {n}")
-        if v not in (0, 1):
-            raise ValueError(f"{file}: line {lineno}: event value must be 0 or 1")
-        if not (0.0 < t <= horizon):
-            raise ValueError(f"{file}: line {lineno}: time outside (0, {horizon}]")
-        times.append(t)
-        eis.append(i)
-        ejs.append(j)
-        vals.append(v)
-
+    times, edge_i, edge_j, values = events
     path = EventLogPath(
         n=n,
         horizon=horizon,
         initial=initial,
-        times=np.asarray(times, dtype=np.float64),
-        edge_i=np.asarray(eis, dtype=np.int32),
-        edge_j=np.asarray(ejs, dtype=np.int32),
-        values=np.asarray(vals, dtype=np.int8),
+        times=times,
+        edge_i=edge_i,
+        edge_j=edge_j,
+        values=values,
         model_meta={
             "model": header.get("model"),
             "params": header.get("params", {}),
@@ -598,6 +598,75 @@ def load_path(file) -> EventLogPath:
     except ValueError as exc:
         raise ValueError(f"{file}: invalid event log: {exc}") from exc
     return path
+
+
+def _parse_record(file, lineno: int, line: str, want: str) -> dict:
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{file}: line {lineno}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(rec, dict) or "type" not in rec:
+        raise ValueError(f"{file}: line {lineno}: record missing 'type'")
+    if rec["type"] != want:
+        raise ValueError(f"{file}: line {lineno}: expected {want!r} record")
+    return rec
+
+
+def _canonical_events(fh, n: int, horizon: float):
+    """(times, i, j, values) of the remaining lines of fh, or None on any miss.
+
+    A miss is a line not in save_path's layout (blank lines included) or a
+    chunk with an event out of range.
+    """
+    cols = [[np.zeros(0, dtype)] for dtype in (np.float64, np.int32, np.int32, np.int8)]
+    while chunk := fh.readlines(_CHUNK_CHARS):
+        rows = _EVENT_LINE.findall("".join(chunk))
+        if len(rows) != len(chunk):
+            return None
+        i, j, t, v = zip(*rows)
+        ei = np.array(list(map(int, i)), dtype=np.int32)
+        ej = np.array(list(map(int, j)), dtype=np.int32)
+        times = np.array(list(map(float, t)), dtype=np.float64)
+        if not np.all((ei < ej) & (ej <= n) & (times > 0.0) & (times <= horizon)):
+            return None
+        values = np.array(list(map(int, v)), dtype=np.int8)
+        for col, arr in zip(cols, (times, ei, ej, values)):
+            col.append(arr)
+    return tuple(np.concatenate(col) for col in cols)
+
+
+def _event_records(file, lines: list[str], n: int, horizon: float):
+    """(times, i, j, values) of lines[2:], one json.loads per line."""
+    times, eis, ejs, vals = [], [], [], []
+    for lineno in range(3, len(lines) + 1):
+        if not lines[lineno - 1].strip():
+            continue
+        rec = _parse_record(file, lineno, lines[lineno - 1], "ev")
+        try:
+            t, i, j, v = float(rec["t"]), int(rec["i"]), int(rec["j"]), int(rec["v"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{file}: line {lineno}: bad event record: {exc}") from exc
+        if not (1 <= i < j <= n):
+            raise ValueError(f"{file}: line {lineno}: need 1 <= i < j <= {n}")
+        if v not in (0, 1):
+            raise ValueError(f"{file}: line {lineno}: event value must be 0 or 1")
+        if not (0.0 < t <= horizon):
+            raise ValueError(f"{file}: line {lineno}: time outside (0, {horizon}]")
+        times.append(t)
+        eis.append(i)
+        ejs.append(j)
+        vals.append(v)
+    return (
+        np.asarray(times, dtype=np.float64),
+        np.asarray(eis, dtype=np.int32),
+        np.asarray(ejs, dtype=np.int32),
+        np.asarray(vals, dtype=np.int8),
+    )
+
+
+def _first_non_ascii_line(file) -> int | None:
+    with open(file, "rb") as fh:
+        return next((k for k, line in enumerate(fh, start=1) if not line.isascii()), None)
 
 
 # ---------------------------------------------------------------------------

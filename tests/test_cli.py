@@ -175,6 +175,25 @@ def test_analyze_malformed_path_file(tmp_path):
     assert main(["analyze", "--path", str(bad)]) == 3
 
 
+@pytest.mark.parametrize("horizon", ["Infinity", "NaN"])
+def test_analyze_non_finite_horizon_exits_3(tmp_path, capsys, horizon):
+    src = simulate_small(tmp_path)
+    text = src.read_text()
+    assert '"horizon": 1.0' in text
+    src.write_text(text.replace('"horizon": 1.0', f'"horizon": {horizon}', 1))
+    assert main(["analyze", "--path", str(src), "--skip-variation", "--skip-tv"]) == 3
+    assert "line 1-2: bad header/init record: horizon must be finite" in capsys.readouterr().err
+
+
+def test_analyze_non_ascii_path_file_exits_3(tmp_path, capsys):
+    src = simulate_small(tmp_path)
+    lines = src.read_text().splitlines(keepends=True)
+    lines[4] = lines[4].replace('"ev"', '"\u00e9v"')
+    src.write_bytes("".join(lines).encode("utf-8"))
+    assert main(["analyze", "--path", str(src), "--skip-variation", "--skip-tv"]) == 3
+    assert f"{src}: line 5: non-ASCII byte" in capsys.readouterr().err
+
+
 def test_densities_from_edge_list(tmp_path, capsys):
     g = er_sample(10, 0.5, 9)
     f = tmp_path / "g.txt"

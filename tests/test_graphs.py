@@ -15,6 +15,7 @@ from graphvar.graphs import (
     num_pairs,
     pair_endpoints,
     pair_index,
+    pair_indices,
     project,
     read_edge_list,
     restrict,
@@ -36,6 +37,7 @@ def test_pair_index_matches_endpoint_arrays():
         ii, jj = pair_endpoints(n)
         for k in range(num_pairs(n)):
             assert pair_index(int(ii[k]) + 1, int(jj[k]) + 1, n) == k
+        assert pair_indices(ii + 1, jj + 1, n).tolist() == list(range(num_pairs(n)))
 
 
 @pytest.mark.parametrize("bad", [(0, 1), (2, 2), (3, 2), (1, 9)])
@@ -57,6 +59,40 @@ def test_graph_construction_and_edges():
 def test_self_loop_rejected():
     with pytest.raises(ValueError):
         AdjacencyGraph.from_edges(3, [(2, 2)])
+
+
+def from_edges_oracle(n, edges):
+    """One bit at a time, as from_edges did before it was vectorized."""
+    bits = 0
+    for i, j in edges:
+        if i == j:
+            raise ValueError(f"self-loop ({i}, {i}) not allowed")
+        a, b = (i, j) if i < j else (j, i)
+        bits |= 1 << pair_index(a, b, n)
+    return AdjacencyGraph(n, bits)
+
+
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n + 1), st.integers(0, n + 1)),
+                                             max_size=40))))
+@settings(max_examples=200)
+def test_from_edges_matches_bitwise_oracle(case):
+    # repeats and reversed pairs are no-ops; the first bad pair names the error
+    n, edges = case
+    try:
+        want = from_edges_oracle(n, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            AdjacencyGraph.from_edges(n, edges)
+        assert str(got.value) == str(exc)
+    else:
+        assert AdjacencyGraph.from_edges(n, edges) == want
+
+
+@pytest.mark.parametrize("edges", [[(1, 2, 3)], [(1.0, 2.0)], [("1", "2")]])
+def test_from_edges_rejects_non_integer_pairs(edges):
+    with pytest.raises((TypeError, ValueError)):
+        AdjacencyGraph.from_edges(4, edges)
 
 
 def test_bits_out_of_range_rejected():

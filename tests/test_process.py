@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphvar.graphs import (
     AdjacencyGraph,
@@ -336,6 +339,225 @@ def test_load_path_error_lines(tmp_path):
         '{"type": "ev", "t": 0.5, "i": 3, "j": 1, "v": 1}\n'
     )
     with pytest.raises(ValueError, match="line 3"):
+        load_path(f)
+    f.write_text('{"type": "header", "n": 3, "horizon": 1.0}\n')
+    with pytest.raises(ValueError, match=r"line 2: invalid JSON \(Expecting value\)"):
+        load_path(f)
+
+
+def save_path_oracle(path, file):
+    """The per-record json.dumps writer that save_path must match byte for byte."""
+    meta = path.model_meta
+    header = {
+        "type": "header",
+        "n": path.n,
+        "horizon": path.horizon,
+        "model": meta.get("model"),
+        "params": meta.get("params", {}),
+        "seed": meta.get("seed"),
+    }
+    with open(file, "w", encoding="ascii") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        init = {"type": "init", "edges": [[i, j] for i, j in path.initial.edges()]}
+        fh.write(json.dumps(init, sort_keys=True) + "\n")
+        for k in range(path.event_count):
+            rec = {
+                "type": "ev",
+                "t": float(path.times[k]),
+                "i": int(path.edge_i[k]),
+                "j": int(path.edge_j[k]),
+                "v": int(path.values[k]),
+            }
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def assert_writer_matches_oracle(path, directory):
+    fast, slow = directory / "fast.jsonl", directory / "slow.jsonl"
+    save_path(path, fast)
+    save_path_oracle(path, slow)
+    assert fast.read_bytes() == slow.read_bytes()
+    assert load_path(fast) == path
+
+
+TINY = float(np.nextafter(0.0, 1.0))  # 5e-324, the time the generators clamp 0 to
+
+WRITER_CASES = {
+    "edge-flip": lambda: simulate_edge_flip(20, 3.0, seed=31),
+    "planted": lambda: simulate_edge_flip(
+        12, 2.0, seed=32, boost_edge=(1, 2), boost_factor=30.0
+    ),
+    "graphon-jump": lambda: simulate_graphon_jump(
+        24, [StepGraphon.constant(0.5), StepGraphon.constant(0.2)], 4.0, seed=33
+    ),
+    "tiny-times": lambda: build(4, [
+        EdgeEvent(TINY, 1, 2, 1), EdgeEvent(TINY, 1, 3, 1), EdgeEvent(TINY, 2, 4, 1),
+        EdgeEvent(0.1 + 0.2, 1, 2, 0), EdgeEvent(1e-17, 3, 4, 1), EdgeEvent(1.0, 3, 4, 0),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_save_path_matches_json_dumps_writer(tmp_path, case):
+    assert_writer_matches_oracle(WRITER_CASES[case](), tmp_path)
+
+
+@st.composite
+def small_paths(draw):
+    """Genuine-jump paths on up to 6 vertices with arbitrary float times."""
+    n = draw(st.integers(2, 6))
+    horizon = draw(st.floats(1e-6, 1e6))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    init = draw(st.sets(st.sampled_from(pairs)))
+    times = st.floats(0.0, horizon, exclude_min=True)
+    keys = draw(st.lists(st.tuples(times, st.sampled_from(pairs)), max_size=30, unique=True))
+    state = {pair: pair in init for pair in pairs}
+    events = []
+    for t, (i, j) in sorted(keys):
+        state[(i, j)] = not state[(i, j)]
+        events.append(EdgeEvent(t, i, j, int(state[(i, j)])))
+    return EventLogPath.from_events(n, horizon, AdjacencyGraph.from_edges(n, init), events)
+
+
+@given(small_paths())
+@settings(max_examples=60, deadline=None)
+def test_save_path_matches_json_dumps_writer_random(tmp_path_factory, path):
+    assert_writer_matches_oracle(path, tmp_path_factory.mktemp("writer"))
+
+
+def test_save_path_refuses_non_finite_values(tmp_path):
+    path = build(3, [EdgeEvent(0.5, 1, 2, 1)], horizon=math.inf)
+    with pytest.raises(ValueError, match="non-finite"):
+        save_path(path, tmp_path / "p.jsonl")
+
+
+def rewrite_events(text, fmt):
+    """Re-lay every event line of a saved path with fmt(record) -> line."""
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:2] + [fmt(json.loads(line)) for line in lines[2:]])
+
+
+LAYOUTS = {
+    "reordered keys": lambda text: rewrite_events(
+        text, lambda r: json.dumps({k: r[k] for k in ("type", "t", "j", "i", "v")}) + "\n"
+    ),
+    "extra spaces": lambda text: rewrite_events(
+        text, lambda r: " " + json.dumps(r, sort_keys=True, separators=(" , ", " :  ")) + " \n"
+    ),
+    "exponent times": lambda text: rewrite_events(
+        text, lambda r: json.dumps({**r, "t": 0}, sort_keys=True).replace(
+            '"t": 0', f'"t": {r["t"]:.17e}') + "\n"
+    ),
+    "blank lines": lambda text: text.replace("}\n{\"i\"", "}\n\n  \n{\"i\"") + "\n\n",
+    "no trailing newline": lambda text: text.rstrip("\n"),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_load_path_accepts_any_valid_layout(tmp_path, layout):
+    path = simulate_edge_flip(10, 2.0, seed=34)
+    canon = tmp_path / "canon.jsonl"
+    save_path(path, canon)
+    other = tmp_path / "other.jsonl"
+    text = LAYOUTS[layout](canon.read_text())
+    assert text != canon.read_text()
+    other.write_bytes(text.encode("ascii"))
+    assert load_path(other) == path
+
+
+# Every message below is the one the per-record parser gives at the parent of
+# the fast loader; a canonical-looking line must not change it.
+HEAD = (
+    '{"horizon": 1.0, "model": null, "n": 4, "params": {}, "seed": null, "type": "header"}\n'
+    '{"edges": [[1, 2]], "type": "init"}\n'
+    '{"i": 1, "j": 3, "t": 0.25, "type": "ev", "v": 1}\n'
+)
+MALFORMED = {
+    "leading zero": ('{"i": 01, "j": 3, "t": 0.5, "type": "ev", "v": 0}',
+                     "line 4: invalid JSON (Expecting ',' delimiter)"),
+    "i equals j": ('{"i": 3, "j": 3, "t": 0.5, "type": "ev", "v": 1}',
+                   "line 4: need 1 <= i < j <= 4"),
+    "i above j": ('{"i": 4, "j": 2, "t": 0.5, "type": "ev", "v": 1}',
+                  "line 4: need 1 <= i < j <= 4"),
+    "j above n": ('{"i": 1, "j": 5, "t": 0.5, "type": "ev", "v": 1}',
+                  "line 4: need 1 <= i < j <= 4"),
+    "value 2": ('{"i": 1, "j": 3, "t": 0.5, "type": "ev", "v": 2}',
+                "line 4: event value must be 0 or 1"),
+    "time above horizon": ('{"i": 1, "j": 4, "t": 1.5, "type": "ev", "v": 1}',
+                           "line 4: time outside (0, 1.0]"),
+    "time zero": ('{"i": 1, "j": 4, "t": 0.0, "type": "ev", "v": 1}',
+                  "line 4: time outside (0, 1.0]"),
+    "time negative": ('{"i": 1, "j": 4, "t": -0.5, "type": "ev", "v": 1}',
+                      "line 4: time outside (0, 1.0]"),
+    "bad json": ('{"i": 1, "j": 4,',
+                 "line 4: invalid JSON (Expecting property name enclosed in double quotes)"),
+    "wrong type": ('{"i": 1, "j": 4, "t": 0.5, "type": "init", "v": 1}',
+                   "line 4: expected 'ev' record"),
+    "missing key": ('{"i": 1, "j": 4, "t": 0.5, "type": "ev"}',
+                    "line 4: bad event record: 'v'"),
+    "not a jump": ('{"i": 1, "j": 3, "t": 0.5, "type": "ev", "v": 1}',
+                   "invalid event log: event 1 on edge (1, 3) is not a genuine jump"),
+    "unsorted": ('{"i": 1, "j": 4, "t": 0.125, "type": "ev", "v": 1}',
+                 "invalid event log: events must be strictly sorted by (time, i, j)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_load_path_malformed_messages(tmp_path, case):
+    line, message = MALFORMED[case]
+    f = tmp_path / "bad.jsonl"
+    f.write_text(HEAD + line + "\n")
+    with pytest.raises(ValueError) as exc:
+        load_path(f)
+    assert str(exc.value) == f"{f}: {message}"
+
+
+def test_load_path_overflowing_number_is_a_data_error(tmp_path):
+    f = tmp_path / "bad.jsonl"
+    f.write_text(HEAD + '{"i": 1, "j": 4, "t": 1' + "0" * 400 + ', "type": "ev", "v": 1}\n')
+    with pytest.raises(ValueError, match="line 4: bad event record"):
+        load_path(f)
+
+
+@pytest.mark.parametrize("horizon", ["Infinity", "-Infinity", "NaN"])
+def test_load_path_rejects_non_finite_horizon(tmp_path, horizon):
+    f = tmp_path / "bad.jsonl"
+    f.write_text(HEAD.replace('"horizon": 1.0', f'"horizon": {horizon}', 1))
+    with pytest.raises(ValueError, match="line 1-2: bad header/init record: horizon must be finite"):
+        load_path(f)
+
+
+@pytest.fixture(scope="module")
+def long_path_text(tmp_path_factory):
+    """A saved path several loader chunks (1 << 18 characters each) long."""
+    f = tmp_path_factory.mktemp("long") / "long.jsonl"
+    path = simulate_edge_flip(48, 12.0, seed=35)
+    save_path(path, f)
+    text = f.read_text()
+    assert len(text) > 3 * (1 << 18)
+    return path, text
+
+
+def test_load_path_late_miss_falls_back(tmp_path, long_path_text):
+    path, text = long_path_text
+    lines = text.splitlines(keepends=True)
+    f = tmp_path / "p.jsonl"
+    f.write_text(text + "\n")  # blank last line: a miss in the last chunk only
+    assert load_path(f) == path
+    bad = lines[:-1] + [lines[-1].replace('"v": ', '"v": 2')]
+    f.write_text("".join(bad))
+    with pytest.raises(ValueError, match=f"line {len(lines)}: event value must be 0 or 1"):
+        load_path(f)
+
+
+def test_load_path_non_ascii_byte_names_its_line(tmp_path, long_path_text):
+    _, text = long_path_text
+    lines = text.splitlines(keepends=True)
+    k = len(lines) - 5  # past the first chunks, so the decode fails mid-stream
+    lines[k - 1] = lines[k - 1].replace('"ev"', '"\u00e9v"')
+    f = tmp_path / "p.jsonl"
+    f.write_bytes("".join(lines).encode("utf-8"))
+    with pytest.raises(ValueError, match=f"line {k}: non-ASCII byte"):
         load_path(f)
 
 
