@@ -85,7 +85,7 @@ class AdjacencyGraph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "AdjacencyGraph":
         """Graph with the given (i, j) edges, in either orientation; repeats are no-ops."""
         pairs = np.array(list(edges))
-        if pairs.size == 0:
+        if pairs.shape == (0,):
             return cls(n, 0)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("edges must be (i, j) pairs")

@@ -605,6 +605,8 @@ def _parse_record(file, lineno: int, line: str, want: str) -> dict:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{file}: line {lineno}: invalid JSON ({exc.msg})") from exc
+    except RecursionError:
+        raise ValueError(f"{file}: line {lineno}: invalid JSON (nested too deeply)") from None
     if not isinstance(rec, dict) or "type" not in rec:
         raise ValueError(f"{file}: line {lineno}: record missing 'type'")
     if rec["type"] != want:

@@ -72,9 +72,14 @@ def from_edges_oracle(n, edges):
     return AdjacencyGraph(n, bits)
 
 
-@given(st.integers(1, 9).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n + 1), st.integers(0, n + 1)),
-                                             max_size=40))))
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(1, 9))
+    ends = st.integers(0, n + 1)  # one out-of-range endpoint on either side
+    return n, draw(st.lists(st.tuples(ends, ends), max_size=40))
+
+
+@given(edge_lists())
 @settings(max_examples=200)
 def test_from_edges_matches_bitwise_oracle(case):
     # repeats and reversed pairs are no-ops; the first bad pair names the error
@@ -89,8 +94,8 @@ def test_from_edges_matches_bitwise_oracle(case):
         assert AdjacencyGraph.from_edges(n, edges) == want
 
 
-@pytest.mark.parametrize("edges", [[(1, 2, 3)], [(1.0, 2.0)], [("1", "2")]])
-def test_from_edges_rejects_non_integer_pairs(edges):
+@pytest.mark.parametrize("edges", [[(1, 2, 3)], [()], [(1.0, 2.0)], [("1", "2")]])
+def test_from_edges_rejects_malformed_pairs(edges):
     with pytest.raises((TypeError, ValueError)):
         AdjacencyGraph.from_edges(4, edges)
 

@@ -444,8 +444,8 @@ LAYOUTS = {
         text, lambda r: " " + json.dumps(r, sort_keys=True, separators=(" , ", " :  ")) + " \n"
     ),
     "exponent times": lambda text: rewrite_events(
-        text, lambda r: json.dumps({**r, "t": 0}, sort_keys=True).replace(
-            '"t": 0', f'"t": {r["t"]:.17e}') + "\n"
+        text, lambda r: json.dumps(r, sort_keys=True).replace(
+            f'"t": {r["t"]!r}', f'"t": {r["t"]:.17e}') + "\n"
     ),
     "blank lines": lambda text: text.replace("}\n{\"i\"", "}\n\n  \n{\"i\"") + "\n\n",
     "no trailing newline": lambda text: text.rstrip("\n"),
@@ -512,10 +512,13 @@ def test_load_path_malformed_messages(tmp_path, case):
     assert str(exc.value) == f"{f}: {message}"
 
 
-def test_load_path_overflowing_number_is_a_data_error(tmp_path):
+def test_load_path_overflow_and_deep_nesting_are_data_errors(tmp_path):
     f = tmp_path / "bad.jsonl"
     f.write_text(HEAD + '{"i": 1, "j": 4, "t": 1' + "0" * 400 + ', "type": "ev", "v": 1}\n')
     with pytest.raises(ValueError, match="line 4: bad event record"):
+        load_path(f)
+    f.write_text(HEAD + "[" * 100_000 + "\n")
+    with pytest.raises(ValueError, match=r"line 4: invalid JSON \(nested too deeply\)"):
         load_path(f)
 
 
