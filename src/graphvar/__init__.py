@@ -27,6 +27,7 @@ from .density import (
 )
 from .graphs import (
     AdjacencyGraph,
+    DataError,
     InjectiveMap,
     apply_map,
     density_quantum,
@@ -44,10 +45,7 @@ from .graphs import (
 from .metrics import (
     ConvergenceReport,
     edit_density,
-    edit_density_profile,
     partial_zeta,
-    perm_average,
-    perm_average_profile,
     perm_prefix_power,
     prefix_agreement,
     prefix_metric,
@@ -65,7 +63,6 @@ from .process import (
     exchangeability_check,
     jump_counts,
     load_path,
-    path_statistic,
     relabel_path,
     restrict_path,
     save_path,
@@ -81,7 +78,6 @@ from .variation import (
     StoppingLadder,
     VariationCell,
     VariationGrid,
-    alpha_variation,
     default_windows,
     dyadic_diagnostic,
     jump_bound_check,

@@ -12,8 +12,8 @@ import sys
 
 from .config import RunConfig, parse_float_list, parse_int_list, resolve_config
 from .density import limit_vector, save_density_vector, weight_family, total_variation_check
-from .graphs import read_edge_list
-from .process import jump_counts, load_path, save_path, simulate, snapshot
+from .graphs import DataError, read_edge_list
+from .process import MODELS, jump_counts, load_path, save_path, simulate, snapshot
 from .variation import default_windows, np_profile, variation_grid
 from .verify import run_verification
 
@@ -35,8 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a path and write it as JSONL")
     add_config_flags(sim)
     sim.add_argument("--out", required=True, help="output JSONL file")
-    sim.add_argument("--model", default=None,
-                     choices=["edge-flip", "edge-flip-planted", "graphon-jump"])
+    sim.add_argument("--model", default=None, choices=MODELS)
     sim.add_argument("--vertices", type=int, default=None)
     sim.add_argument("--rate", type=float, default=None)
     sim.add_argument("--init-density", type=float, default=None, dest="init_density")
@@ -98,12 +97,7 @@ def _fmt(v) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve(args, ("model", "vertices", "rate", "init_density", "horizon",
                           "seed", "planted", "boost_factor"))
-    model = "edge-flip-planted" if cfg.planted else cfg.model
-    params: dict = {"rate": cfg.rate, "init_density": cfg.init_density}
-    if model == "edge-flip-planted":
-        params.update(boost_edge=(1, 2), boost_factor=cfg.boost_factor)
-    if model == "graphon-jump":
-        params = {"grids": [[[cfg.init_density]]], "global_rate": cfg.rate}
+    model, params = cfg.generator()
     path = simulate(model, cfg.vertices, cfg.horizon, cfg.seed, params)
     save_path(path, args.out)
     jc = jump_counts(path)
@@ -205,16 +199,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    with open(args.report, "r", encoding="ascii") as fh:
-        data = json.load(fh)
-    checks = data.get("checks", [])
-    width = max((len(c["name"]) for c in checks), default=4)
-    print(f"{'check'.ljust(width)}  status           lhs           rhs")
-    for c in checks:
-        lhs = "-" if c.get("lhs") is None else f"{c['lhs']:.6g}"
-        rhs = "-" if c.get("rhs") is None else f"{c['rhs']:.6g}"
-        print(f"{c['name'].ljust(width)}  {c['status']:<15}  {lhs:>12}  {rhs:>12}")
-    ok = bool(data.get("ok", False))
+    try:
+        with open(args.report, "r", encoding="ascii") as fh:
+            data = json.load(fh)
+        checks = data.get("checks", [])
+        width = max((len(c["name"]) for c in checks), default=4)
+        lines = [f"{'check'.ljust(width)}  status           lhs           rhs"]
+        for c in checks:
+            lhs = "-" if c.get("lhs") is None else f"{c['lhs']:.6g}"
+            rhs = "-" if c.get("rhs") is None else f"{c['rhs']:.6g}"
+            lines.append(f"{c['name'].ljust(width)}  {c['status']:<15}  {lhs:>12}  {rhs:>12}")
+        ok = bool(data.get("ok", False))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{args.report}: line {exc.lineno}: invalid JSON ({exc.msg})") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{args.report}: not a verification report: {exc!r}") from None
+    print("\n".join(lines))
     print("result:", "OK" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -233,17 +233,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except OSError as exc:
+    except (OSError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # bad data files map to 3; bad flag/config combinations map to 2
-        text = str(exc)
-        tokens = (": line ", "bad density vector", "empty path", "invalid event log")
-        if any(token in text for token in tokens):
-            print(f"error: {text}", file=sys.stderr)
-            return 3
-        print(f"usage error: {text}", file=sys.stderr)
+    except ValueError as exc:  # a bad flag or config value
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
-MODELS = ("edge-flip", "edge-flip-planted", "graphon-jump")
+from .graphs import DataError
+from .process import MODELS
 
 
 @dataclass(frozen=True)
@@ -29,13 +29,11 @@ class RunConfig:
     p_grid: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
     m_grid: tuple[int, ...] | None = None
     alphas: tuple[float, ...] = (2.5, 3.0)
-    metric: str = "prefix"
     n_max: int = 3
     weight_family: str = "two_pow_neg_nsq"
     k_perm: int = 200
     k_inj: int = 100_000
     exact_budget: int = 10**7
-    tol_rel: float = 1e-2
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
@@ -54,23 +52,22 @@ class RunConfig:
             raise ValueError("m_grid windows must be at least 2")
         if any(a <= 0 for a in self.alphas):
             raise ValueError("alphas must be positive")
-        if self.metric != "prefix":
-            raise ValueError(f"unknown metric {self.metric!r}; only 'prefix' is supported")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
         if self.k_perm < 2 or self.k_inj < 1:
             raise ValueError("sample sizes must be positive (k_perm >= 2)")
         if self.exact_budget < 1:
             raise ValueError("exact_budget must be positive")
-        if self.tol_rel <= 0:
-            raise ValueError("tol_rel must be positive")
 
-    def windows(self) -> tuple[int, ...]:
-        """Configured m_grid, defaulting to quarter/half/full truncation."""
-        if self.m_grid is not None:
-            return tuple(self.m_grid)
-        n = self.vertices
-        return tuple(sorted({max(2, n // 4), max(2, n // 2), n}))
+    def generator(self) -> tuple[str, dict]:
+        """The model name and the `simulate` params this configuration describes."""
+        model = "edge-flip-planted" if self.planted else self.model
+        if model == "graphon-jump":
+            return model, {"grids": [[[self.init_density]]], "global_rate": self.rate}
+        params: dict = {"rate": self.rate, "init_density": self.init_density}
+        if model == "edge-flip-planted":
+            params.update(boost_edge=(1, 2), boost_factor=self.boost_factor)
+        return model, params
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -92,12 +89,12 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{source}: line {lineno}: expected 'key = value'")
+            raise DataError(f"{source}: line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in _FIELD_TYPES:
-            raise ValueError(
+            raise DataError(
                 f"{source}: line {lineno}: unknown key {key!r}; "
                 f"known keys: {', '.join(sorted(_FIELD_TYPES))}"
             )
@@ -112,8 +109,14 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 
 def load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: line {lineno}: byte is not UTF-8") from None
+    return parse_config_text(text, source=str(path))
 
 
 def resolve_config(

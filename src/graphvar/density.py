@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import AdjacencyGraph, num_pairs, pair_index, seed_list, sym_diff_count
+from .graphs import AdjacencyGraph, DataError, num_pairs, pair_index, seed_list, sym_diff_count
 from .process import EventLogPath
 from .variation import stopping_ladder
 
@@ -219,7 +219,7 @@ def load_density_vector(file) -> DensityVector:
         try:
             return DensityVector.from_dict(json.load(fh))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{file}: bad density vector: {exc}") from exc
+            raise DataError(f"{file}: bad density vector: {exc}") from exc
 
 
 def limit_vector(

@@ -19,6 +19,10 @@ ENUMERATION_CAP = 5
 ENUMERATION_HARD_CAP = 6
 
 
+class DataError(ValueError):
+    """An input file is malformed; the message names the file and the line."""
+
+
 def num_pairs(n: int) -> int:
     """C(n, 2), with the convention C(1, 2) = 0."""
     return n * (n - 1) // 2
@@ -260,10 +264,6 @@ def er_sample(n: int, p: float, seed) -> AdjacencyGraph:
     return AdjacencyGraph(n, _pack(rng.random(num_pairs(n)) < p))
 
 
-def random_permutation_map(n: int, rng: np.random.Generator) -> InjectiveMap:
-    return InjectiveMap(tuple(int(v) + 1 for v in rng.permutation(n)))
-
-
 def write_edge_list(g: AdjacencyGraph, path) -> None:
     """Edge-list text format: first line 'n <N>', then one '<i> <j>' line per edge."""
     with open(path, "w", encoding="ascii") as fh:
@@ -273,28 +273,44 @@ def write_edge_list(g: AdjacencyGraph, path) -> None:
 
 
 def read_edge_list(path) -> AdjacencyGraph:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "n":
-            raise ValueError(f"{path}: line 1: expected header 'n <N>'")
-        n = int(header[1])
-        if n < 1:
-            raise ValueError(f"{path}: line 1: vertex count must be positive")
-        bits = 0
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected '<i> <j>'")
-            i, j = int(parts[0]), int(parts[1])
-            if not (1 <= i < j <= n):
-                raise ValueError(f"{path}: line {lineno}: need 1 <= i < j <= {n}")
-            bit = 1 << pair_index(i, j, n)
-            if bits & bit:
-                raise ValueError(f"{path}: line {lineno}: duplicate edge {i} {j}")
-            bits |= bit
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().split()
+            if len(header) != 2 or header[0] != "n":
+                raise DataError(f"{path}: line 1: expected header 'n <N>'")
+            try:
+                n = int(header[1])
+            except ValueError:
+                raise DataError(f"{path}: line 1: vertex count must be an integer") from None
+            if n < 1:
+                raise DataError(f"{path}: line 1: vertex count must be positive")
+            bits = 0
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.split()
+                if not parts:
+                    continue
+                if len(parts) != 2:
+                    raise DataError(f"{path}: line {lineno}: expected '<i> <j>'")
+                try:
+                    i, j = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise DataError(f"{path}: line {lineno}: endpoints must be integers") from None
+                if not (1 <= i < j <= n):
+                    raise DataError(f"{path}: line {lineno}: need 1 <= i < j <= {n}")
+                bit = 1 << pair_index(i, j, n)
+                if bits & bit:
+                    raise DataError(f"{path}: line {lineno}: duplicate edge {i} {j}")
+                bits |= bit
+    except UnicodeDecodeError:
+        lineno = first_non_ascii_line(path)
+        raise DataError(f"{path}: line {lineno}: non-ASCII byte in edge list") from None
     return AdjacencyGraph(n, bits)
+
+
+def first_non_ascii_line(file) -> int | None:
+    """1-based number of the first line of file holding a non-ASCII byte."""
+    with open(file, "rb") as fh:
+        return next((k for k, line in enumerate(fh, start=1) if not line.isascii()), None)
 
 
 def seed_list(seed) -> list[int]:

@@ -1,27 +1,26 @@
 """Graph distances: edit density, the prefix (first-disagreement) metric,
-permutation averaging, and the pair-density statistic with convergence profiles."""
+the relabeling kernel, and the pair-density statistic with convergence profiles."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .graphs import (
     AdjacencyGraph,
-    InjectiveMap,
-    apply_map,
+    _unpack,
     num_pairs,
     pair_endpoints,
     restrict,
-    seed_list,
     sym_diff_count,
 )
 
 EXACT_PERM_LIMIT = 5040  # enumerate all permutations up to 7! = 5040
+RELABEL_BATCH = 512  # relabelings drawn, and gathered, at once
 
 
 @dataclass(frozen=True)
@@ -68,28 +67,6 @@ def edit_density(f: AdjacencyGraph, g: AdjacencyGraph) -> float:
     return 2.0 * sym_diff_count(f, g) / (f.n * (f.n - 1))
 
 
-def edit_density_profile(
-    f: AdjacencyGraph,
-    g: AdjacencyGraph,
-    levels: Sequence[int],
-    tolerance: float = 1e-2,
-) -> ConvergenceReport:
-    """Edit density of the restrictions at each truncation level.
-
-    The last value is the working estimate of the limiting density; the
-    convergence flag only reports whether the final step moved less than
-    the tolerance.
-    """
-    if len(levels) == 0:
-        raise ValueError("levels must be nonempty")
-    if list(levels) != sorted(set(levels)):
-        raise ValueError("levels must be strictly increasing")
-    if levels[-1] > f.n:
-        raise ValueError("largest level exceeds vertex count")
-    vals = tuple(edit_density(restrict(f, n), restrict(g, n)) for n in levels)
-    return ConvergenceReport(tuple(levels), vals, tolerance)
-
-
 def prefix_agreement(f: AdjacencyGraph, g: AdjacencyGraph) -> int:
     """Largest n with f|_n = g|_n; equals the full vertex count for equal graphs."""
     if f.n != g.n:
@@ -97,8 +74,6 @@ def prefix_agreement(f: AdjacencyGraph, g: AdjacencyGraph) -> int:
     diff = f.bits ^ g.bits
     if diff == 0:
         return f.n
-    from .graphs import _unpack  # packed-pair helper shared with AdjacencyGraph
-
     _, jj = pair_endpoints(f.n)
     vec = _unpack(diff, num_pairs(f.n))
     # first disagreeing pair blocks every window containing its larger endpoint
@@ -112,52 +87,72 @@ def prefix_metric(f: AdjacencyGraph, g: AdjacencyGraph) -> float:
     return 1.0 / prefix_agreement(f, g)
 
 
-def perm_average(
-    h: Callable[[AdjacencyGraph, AdjacencyGraph], float],
-    f: AdjacencyGraph,
-    g: AdjacencyGraph,
-    m: int,
-    k: int = 1000,
-    seed=0,
-) -> tuple[float, float]:
-    """Average of h(f^sigma, g^sigma) over permutations sigma of [m].
+def relabelings(n: int, k: int, seed) -> tuple[np.ndarray, bool]:
+    """Inverse-position rows and whether they are all n! relabelings.
 
-    Exact enumeration whenever m! <= 5040 (stderr 0); otherwise a Monte Carlo
-    estimate from k independent uniform permutations, returned as
-    (mean, standard error).
+    Row r maps each vertex (0-indexed) to its position under the r-th
+    relabeling.  All relabelings are enumerated when n! <= EXACT_PERM_LIMIT;
+    otherwise k are drawn from default_rng(seed), batch by batch, and the
+    rows equal those of k successive rng.permutation(n) calls.
     """
-    if not (1 <= m <= min(f.n, g.n)):
-        raise ValueError("window m out of range")
-    if math.factorial(m) <= EXACT_PERM_LIMIT:
-        vals = [
-            h(apply_map(f, InjectiveMap(perm)), apply_map(g, InjectiveMap(perm)))
-            for perm in itertools.permutations(range(1, m + 1))
-        ]
-        return float(np.mean(vals)), 0.0
-    if k < 1:
-        raise ValueError("need at least one Monte Carlo replicate")
+    if math.factorial(n) <= EXACT_PERM_LIMIT:
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        return np.argsort(perms, axis=1), True
+    if k < 2:
+        raise ValueError("need at least two Monte Carlo relabelings")
     rng = np.random.default_rng(seed)
-    vals = np.empty(k)
-    for r in range(k):
-        perm = tuple(int(v) + 1 for v in rng.permutation(m))
-        phi = InjectiveMap(perm)
-        vals[r] = h(apply_map(f, phi), apply_map(g, phi))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(k)) if k > 1 else math.inf
-    return float(vals.mean()), stderr
+    # int64, not int32: analyze's density Monte Carlo, which runs next, was 12%
+    # slower after int32 gathers, because the smaller blocks they free leave
+    # glibc's dynamic mmap threshold low
+    inv = np.empty((k, n), dtype=np.int64)
+    for lo in range(0, k, RELABEL_BATCH):
+        perms = rng.permuted(np.tile(np.arange(n), (min(RELABEL_BATCH, k - lo), 1)), axis=1)
+        inv[lo : lo + RELABEL_BATCH] = np.argsort(perms, axis=1)
+    return inv, False
 
 
-def perm_average_profile(
-    h: Callable[[AdjacencyGraph, AdjacencyGraph], float],
-    f: AdjacencyGraph,
-    g: AdjacencyGraph,
-    windows: Sequence[int],
-    k: int = 1000,
-    seed=0,
-) -> list[tuple[int, float, float]]:
-    """(m, mean, stderr) rows across window sizes; no limit is asserted."""
-    return [
-        (m, *perm_average(h, f, g, m, k, seed_list(seed) + [m])) for m in windows
-    ]
+def prefix_distances(
+    diffs: Sequence[int], n: int, windows: Sequence[int], inv: np.ndarray
+) -> dict[int, np.ndarray]:
+    """window -> (len(diffs), relabelings) matrix of relabeled prefix distances.
+
+    diffs[s] is the disagreement bitset of two graphs on n vertices.  Under the
+    relabeling inv[r], their distance with both graphs projected onto the first
+    m positions is 1 / (the smallest larger relabeled endpoint, 0-indexed,
+    among disagreeing pairs inside the window), and 0 when none is inside.
+    """
+    out = {m: np.zeros((len(diffs), inv.shape[0])) for m in windows}
+    ii, jj = pair_endpoints(n)
+    for s, bits in enumerate(diffs):
+        if bits == 0:
+            continue
+        idx = np.flatnonzero(_unpack(bits, num_pairs(n)))
+        a, b = ii[idx], jj[idx]
+        for lo in range(0, inv.shape[0], RELABEL_BATCH):
+            rows = slice(lo, lo + RELABEL_BATCH)
+            for m, mn in _first_blocks(inv[rows], a, b, n, windows).items():
+                out[m][s, rows] = np.where(mn < n, 1.0 / np.maximum(mn, 1), 0.0)
+    return out
+
+
+def _first_blocks(
+    inv: np.ndarray, a: np.ndarray, b: np.ndarray, n: int, windows: Sequence[int]
+) -> dict[int, np.ndarray]:
+    """window -> per row, the smallest larger relabeled endpoint inside it (n if none).
+
+    A function of its own so that the (rows, pairs) gather is freed before the
+    next batch is gathered.
+    """
+    mx = inv[:, a]
+    np.maximum(mx, inv[:, b], out=mx)
+    # at m == n every pair is inside, so no mask is needed
+    return {m: (mx if m == n else np.where(mx < m, mx, n)).min(axis=1) for m in windows}
+
+
+def relabeling_mean(values: np.ndarray, exact: bool) -> tuple[float, float]:
+    """Mean over relabelings and its standard error, 0 when all were enumerated."""
+    se = 0.0 if exact else float(np.std(values, ddof=1) / math.sqrt(values.shape[0]))
+    return float(values.mean()), se
 
 
 def perm_prefix_power(
@@ -166,46 +161,19 @@ def perm_prefix_power(
     alpha: float,
     k: int = 10_000,
     seed=0,
-    chunk: int = 512,
 ) -> tuple[float, float]:
-    """Relabeling average of prefix_metric(f^sigma, g^sigma) ** alpha.
-
-    Vectorized over batches of relabelings: the prefix distance depends only
-    on the smallest relabeled position pair among disagreeing edges, so each
-    batch reduces to one gather and a row minimum.  Exhaustive for small
-    vertex counts, otherwise Monte Carlo with k draws.
-    """
+    """Relabeling average of prefix_metric(f^sigma, g^sigma) ** alpha, with its
+    standard error.  Exhaustive for small vertex counts, otherwise Monte Carlo
+    with k relabelings."""
     if f.n != g.n:
         raise ValueError(f"vertex counts differ: {f.n} vs {g.n}")
     n = f.n
     diff = f.bits ^ g.bits
     if diff == 0:
         return 0.0, 0.0
-    from .graphs import _unpack
-
-    ii, jj = pair_endpoints(n)
-    idx = np.flatnonzero(_unpack(diff, num_pairs(n)))
-    a0, b0 = ii[idx], jj[idx]
-
-    def batch_values(inv: np.ndarray) -> np.ndarray:
-        mx = np.maximum(inv[:, a0], inv[:, b0])
-        mn = mx.min(axis=1)  # smallest blocking window over all diff pairs
-        return (1.0 / np.maximum(mn, 1)) ** alpha
-
-    if math.factorial(n) <= EXACT_PERM_LIMIT:
-        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-        return float(batch_values(np.argsort(perms, axis=1)).mean()), 0.0
-    if k < 2:
-        raise ValueError("need at least two Monte Carlo replicates")
-    rng = np.random.default_rng(seed)
-    vals = np.empty(k)
-    done = 0
-    while done < k:
-        b = min(chunk, k - done)
-        perms = rng.permuted(np.tile(np.arange(n), (b, 1)), axis=1)
-        vals[done : done + b] = batch_values(np.argsort(perms, axis=1))
-        done += b
-    return float(vals.mean()), float(np.std(vals, ddof=1) / math.sqrt(k))
+    inv, exact = relabelings(n, k, seed)
+    d = prefix_distances([diff], n, [n], inv)[n][0]
+    return relabeling_mean(d**alpha, exact)
 
 
 def slln_statistic(

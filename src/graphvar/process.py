@@ -20,8 +20,10 @@ from scipy import stats
 
 from .graphs import (
     AdjacencyGraph,
+    DataError,
     InjectiveMap,
     apply_map,
+    first_non_ascii_line,
     num_pairs,
     pair_endpoints,
     pair_indices,
@@ -164,7 +166,7 @@ class EventLogPath:
         e = self.event_count
         if e == 0:
             return
-        if self.times.min() <= 0.0 or self.times.max() > self.horizon:
+        if not np.all((self.times > 0.0) & (self.times <= self.horizon)):
             raise ValueError("event times must lie in (0, horizon]")
         if np.any((self.edge_i >= self.edge_j) | (self.edge_i < 1) | (self.edge_j > self.n)):
             raise ValueError("event edges must satisfy 1 <= i < j <= n")
@@ -559,24 +561,24 @@ def load_path(file) -> EventLogPath:
         with open(file, "r", encoding="ascii") as fh:
             head = [fh.readline(), fh.readline()]
             if not head[0]:
-                raise ValueError(f"{file}: empty path file")
+                raise DataError(f"{file}: empty path file")
             header = _parse_record(file, 1, head[0], "header")
             init = _parse_record(file, 2, head[1], "init")
             try:
                 n = int(header["n"])
                 horizon = float(header["horizon"])
-                if not math.isfinite(horizon):
-                    raise ValueError(f"horizon must be finite, got {horizon}")
+                if not (math.isfinite(horizon) and horizon > 0.0):
+                    raise ValueError(f"horizon must be finite and positive, got {horizon}")
                 initial = AdjacencyGraph.from_edges(n, [tuple(e) for e in init["edges"]])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{file}: line 1-2: bad header/init record: {exc}") from exc
+                raise DataError(f"{file}: line 1-2: bad header/init record: {exc}") from exc
             events = _canonical_events(fh, n, horizon)
             if events is None:
                 fh.seek(0)
                 events = _event_records(file, fh.readlines(), n, horizon)
     except UnicodeDecodeError:
-        lineno = _first_non_ascii_line(file)
-        raise ValueError(f"{file}: line {lineno}: non-ASCII byte in path file") from None
+        lineno = first_non_ascii_line(file)
+        raise DataError(f"{file}: line {lineno}: non-ASCII byte in path file") from None
 
     times, edge_i, edge_j, values = events
     path = EventLogPath(
@@ -596,7 +598,7 @@ def load_path(file) -> EventLogPath:
     try:
         path.validate()
     except ValueError as exc:
-        raise ValueError(f"{file}: invalid event log: {exc}") from exc
+        raise DataError(f"{file}: invalid event log: {exc}") from exc
     return path
 
 
@@ -604,13 +606,13 @@ def _parse_record(file, lineno: int, line: str, want: str) -> dict:
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{file}: line {lineno}: invalid JSON ({exc.msg})") from exc
+        raise DataError(f"{file}: line {lineno}: invalid JSON ({exc.msg})") from exc
     except RecursionError:
-        raise ValueError(f"{file}: line {lineno}: invalid JSON (nested too deeply)") from None
+        raise DataError(f"{file}: line {lineno}: invalid JSON (nested too deeply)") from None
     if not isinstance(rec, dict) or "type" not in rec:
-        raise ValueError(f"{file}: line {lineno}: record missing 'type'")
+        raise DataError(f"{file}: line {lineno}: record missing 'type'")
     if rec["type"] != want:
-        raise ValueError(f"{file}: line {lineno}: expected {want!r} record")
+        raise DataError(f"{file}: line {lineno}: expected {want!r} record")
     return rec
 
 
@@ -647,13 +649,13 @@ def _event_records(file, lines: list[str], n: int, horizon: float):
         try:
             t, i, j, v = float(rec["t"]), int(rec["i"]), int(rec["j"]), int(rec["v"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{file}: line {lineno}: bad event record: {exc}") from exc
+            raise DataError(f"{file}: line {lineno}: bad event record: {exc}") from exc
         if not (1 <= i < j <= n):
-            raise ValueError(f"{file}: line {lineno}: need 1 <= i < j <= {n}")
+            raise DataError(f"{file}: line {lineno}: need 1 <= i < j <= {n}")
         if v not in (0, 1):
-            raise ValueError(f"{file}: line {lineno}: event value must be 0 or 1")
+            raise DataError(f"{file}: line {lineno}: event value must be 0 or 1")
         if not (0.0 < t <= horizon):
-            raise ValueError(f"{file}: line {lineno}: time outside (0, {horizon}]")
+            raise DataError(f"{file}: line {lineno}: time outside (0, {horizon}]")
         times.append(t)
         eis.append(i)
         ejs.append(j)
@@ -666,35 +668,12 @@ def _event_records(file, lines: list[str], n: int, horizon: float):
     )
 
 
-def _first_non_ascii_line(file) -> int | None:
-    with open(file, "rb") as fh:
-        return next((k for k, line in enumerate(fh, start=1) if not line.isascii()), None)
-
-
 # ---------------------------------------------------------------------------
 # exchangeability diagnostics
-
-PATH_STATISTICS = ("edge-density-at-1", "total-jumps", "Np-at-p")
-
-
-def path_statistic(path: EventLogPath, statistic: str, p: float = 0.2) -> float:
-    """Scalar functional of a (windowed) path used by the relabeling KS test."""
-    if statistic == "edge-density-at-1":
-        g = snapshot(path, path.horizon)
-        return 2.0 * g.edge_count / (g.n * (g.n - 1))
-    if statistic == "total-jumps":
-        return float(path.event_count)
-    if statistic == "Np-at-p":
-        from .variation import stopping_ladder  # deferred: variation builds on process
-
-        return float(stopping_ladder(path, p).n_p)
-    raise ValueError(f"unknown statistic {statistic!r}; expected one of {PATH_STATISTICS}")
-
 
 @dataclass(frozen=True)
 class ExchangeabilityReport:
     model: str
-    statistic: str
     window: int
     seed_count: int
     ks_statistic: float
@@ -703,7 +682,6 @@ class ExchangeabilityReport:
     def to_dict(self) -> dict:
         return {
             "model": self.model,
-            "statistic": self.statistic,
             "window": self.window,
             "seed_count": self.seed_count,
             "ks_statistic": self.ks_statistic,
@@ -716,26 +694,21 @@ def exchangeability_check(
     params: dict,
     n: int,
     seed_count: int,
-    statistic: str = "total-jumps",
     seed=0,
     window: int = 8,
     horizon: float = 1.0,
-    ladder_p: float = 0.2,
-    identity_relabel: bool = False,
 ) -> ExchangeabilityReport:
-    """Two-sample KS test of a windowed path statistic against relabeled paths.
+    """Two-sample KS test of the windowed jump count against relabeled paths.
 
-    Statistics are evaluated on the induced sub-path of the first `window`
-    vertices: a full-graph statistic is invariant under any relabeling, so
-    only a windowed one can distinguish a relabeled path.  For exchangeable
-    generators both samples share one distribution and the p-value is
-    approximately uniform; a planted per-edge asymmetry shifts the relabeled
-    sample and drives the p-value to zero.
+    The statistic is the number of events of the induced sub-path on the
+    first `window` vertices: a full-graph statistic is invariant under any
+    relabeling, so only a windowed one can distinguish a relabeled path.
+    For exchangeable generators both samples share one distribution and the
+    p-value is approximately uniform; a planted per-edge asymmetry shifts
+    the relabeled sample and drives the p-value to zero.
     """
     if seed_count < 20:
         raise ValueError("seed_count below 20 is underpowered; refusing to test")
-    if statistic not in PATH_STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}; expected one of {PATH_STATISTICS}")
     if not (1 <= window <= n):
         raise ValueError("window out of range")
 
@@ -743,24 +716,18 @@ def exchangeability_check(
     plain = np.empty(seed_count)
     for r in range(seed_count):
         path = simulate(model, n, horizon, base + [0, r], params)
-        plain[r] = path_statistic(restrict_path(path, window), statistic, ladder_p)
+        plain[r] = restrict_path(path, window).event_count
 
     relabeled = np.empty(seed_count)
     for r in range(seed_count):
         path = simulate(model, n, horizon, base + [1, r], params)
-        if identity_relabel:
-            perm = list(range(1, n + 1))
-        else:
-            rng = np.random.default_rng(base + [2, r])
-            perm = [int(v) + 1 for v in rng.permutation(n)]
-        relabeled[r] = path_statistic(
-            restrict_path(relabel_path(path, perm), window), statistic, ladder_p
-        )
+        rng = np.random.default_rng(base + [2, r])
+        perm = [int(v) + 1 for v in rng.permutation(n)]
+        relabeled[r] = restrict_path(relabel_path(path, perm), window).event_count
 
     ks = stats.ks_2samp(plain, relabeled, method="asymp")
     return ExchangeabilityReport(
         model=model,
-        statistic=statistic,
         window=window,
         seed_count=seed_count,
         ks_statistic=float(ks.statistic),

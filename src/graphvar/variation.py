@@ -9,15 +9,14 @@ function of the ladder's anchor graphs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import AdjacencyGraph, density_quantum, num_pairs, pair_endpoints, seed_list
-from .metrics import EXACT_PERM_LIMIT, partial_zeta
+from .graphs import AdjacencyGraph, density_quantum, num_pairs, seed_list
+from .metrics import partial_zeta, prefix_distances, relabeling_mean, relabelings
 from .process import EventLogPath, jump_counts
 
 
@@ -258,47 +257,14 @@ def dyadic_diagnostic(path: EventLogPath, p0: float, k_max: int) -> DyadicDiagno
 # ---------------------------------------------------------------------------
 # permutation-averaged power variation
 
-def _perm_positions(n: int, k_perm: int, seed) -> tuple[np.ndarray, bool]:
-    """Rows of inverse-position vectors: row r maps a vertex (0-indexed) to its
-    position under the r-th relabeling.  Exhaustive when n! is small."""
-    if math.factorial(n) <= EXACT_PERM_LIMIT:
-        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-        return np.argsort(perms, axis=1), True
-    if k_perm < 2:
-        raise ValueError("need at least 2 sampled relabelings")
-    rng = np.random.default_rng(seed)
-    inv = np.empty((k_perm, n), dtype=np.int64)
-    for r in range(k_perm):
-        inv[r] = np.argsort(rng.permutation(n))
-    return inv, False
-
-
-def _segment_distances(
-    ladder: StoppingLadder, n: int, inv: np.ndarray, windows: Sequence[int]
-) -> dict[int, np.ndarray]:
-    """window -> (segments, relabelings) matrix of prefix distances.
-
-    For a relabeling with inverse positions `inv[r]`, the distance between the
-    relabeled segment endpoints, both projected onto the first M vertices, is
-    1 / min over disagreeing pairs mapped inside the window of the larger
-    mapped position (0-indexed), and 0 when no disagreement lands inside.
-    """
-    segs = ladder.segments()
-    k = inv.shape[0]
-    out = {m: np.zeros((len(segs), k)) for m in windows}
-    ii, jj = pair_endpoints(n)
-    for s, (ga, gb) in enumerate(segs):
-        diff_bits = ga.bits ^ gb.bits
-        if diff_bits == 0:
-            continue
-        vec = AdjacencyGraph(n, diff_bits).to_pair_vector()
-        idx = np.flatnonzero(vec)
-        mx = np.maximum(inv[:, ii[idx]], inv[:, jj[idx]])  # (k, n_diff)
-        for m in windows:
-            inside = np.where(mx <= m - 1, mx, n)
-            mn = inside.min(axis=1)
-            out[m][s] = np.where(mn < n, 1.0 / np.maximum(mn, 1), 0.0)
-    return out
+def _relabeled_segments(
+    lad: StoppingLadder, n: int, windows: Sequence[int], k_perm: int, seed
+) -> tuple[dict[int, np.ndarray], bool]:
+    """window -> (segments, relabelings) prefix distances of the ladder's
+    segments, with one batch of relabelings per threshold."""
+    inv, exact = relabelings(n, k_perm, seed_list(seed) + [_seed_token(lad.p)])
+    diffs = [ga.bits ^ gb.bits for ga, gb in lad.segments()]
+    return prefix_distances(diffs, n, windows, inv), exact
 
 
 @dataclass(frozen=True)
@@ -382,19 +348,10 @@ def variation_grid(
     profile = np_profile(path, ps)
     cells: list[VariationCell] = []
     for lad in profile.ladders:
-        inv, exact = _perm_positions(n, k_perm, seed_list(seed) + [_seed_token(lad.p)])
-        dists = _segment_distances(lad, n, inv, windows)
-        kk = inv.shape[0]
+        dists, exact = _relabeled_segments(lad, n, windows, k_perm, seed)
         for m in windows:
-            d = dists[m]  # (segments, kk)
             for a in alphas:
-                per_sigma = (d**a).sum(axis=0)
-                value = float(per_sigma.mean())
-                stderr = (
-                    0.0
-                    if exact
-                    else float(np.std(per_sigma, ddof=1) / math.sqrt(kk))
-                )
+                value, stderr = relabeling_mean((dists[m] ** a).sum(axis=0), exact)
                 cells.append(
                     VariationCell(lad.p, m, a, value, stderr, lad.n_p, exact)
                 )
@@ -413,20 +370,6 @@ def variation_grid(
 def _seed_token(p: float) -> int:
     """Stable nonnegative integer derived from a float grid value."""
     return int.from_bytes(np.float64(p).tobytes(), "little")
-
-
-def alpha_variation(
-    path: EventLogPath,
-    p: float,
-    alpha: float,
-    window: int | None = None,
-    k_perm: int = 200,
-    seed=0,
-) -> VariationCell:
-    """Single-cell convenience wrapper around variation_grid."""
-    window = path.n if window is None else window
-    grid = variation_grid(path, [p], [window], [alpha], k_perm, seed)
-    return grid.cell(p, window, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -499,24 +442,19 @@ def variation_bound_check(
     rows: list[VariationBound] = []
     for p in ps:
         lad = stopping_ladder(path, p)
-        inv, exact = _perm_positions(n, k_perm, seed_list(seed) + [_seed_token(p)])
-        dists = _segment_distances(lad, n, inv, [n])[n]  # (segments, kk)
-        kk = inv.shape[0]
+        dists, exact = _relabeled_segments(lad, n, [n], k_perm, seed)
         dens = lad.segment_densities()
         for a in alphas:
             const = partial_zeta(a, n)
-            powed = dists**a
+            powed = dists[n] ** a  # (segments, relabelings)
             steps = []
             for s in range(powed.shape[0]):
-                lhs = float(powed[s].mean())
-                se = 0.0 if exact else float(np.std(powed[s], ddof=1) / math.sqrt(kk))
+                lhs, se = relabeling_mean(powed[s], exact)
                 rhs = dens[s] * const
                 steps.append(
                     StepBound(p, a, s + 1, lhs, se, dens[s], rhs, lhs <= rhs + 3 * se)
                 )
-            per_sigma = powed.sum(axis=0)
-            lhs = float(per_sigma.mean())
-            se = 0.0 if exact else float(np.std(per_sigma, ddof=1) / math.sqrt(kk))
+            lhs, se = relabeling_mean(powed.sum(axis=0), exact)
             rhs = const * sup
             rows.append(
                 VariationBound(

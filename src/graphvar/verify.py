@@ -403,8 +403,7 @@ def _check_exchangeability_ks(cfg: RunConfig, adversarial: bool) -> CheckResult:
     t0 = time.perf_counter()
     model = "edge-flip-planted" if adversarial else "edge-flip"
     rep = exchangeability_check(
-        model, dict(_KS_PARAMS), n=64, seed_count=50,
-        statistic="total-jumps", seed=[cfg.seed, 109], window=8,
+        model, dict(_KS_PARAMS), n=64, seed_count=50, seed=[cfg.seed, 109], window=8,
     )
     ok = rep.p_value > 0.01
     return _finish(
@@ -425,8 +424,7 @@ def _check_planted_asymmetry_ks(cfg: RunConfig, adversarial: bool) -> CheckResul
     t0 = time.perf_counter()
     params = dict(_KS_PARAMS, boost_edge=(1, 2), boost_factor=cfg.boost_factor)
     rep = exchangeability_check(
-        "edge-flip-planted", params, n=64, seed_count=200,
-        statistic="total-jumps", seed=[cfg.seed, 112], window=8,
+        "edge-flip-planted", params, n=64, seed_count=200, seed=[cfg.seed, 112], window=8,
     )
     ok = rep.p_value < 0.01
     return _finish(
@@ -474,10 +472,7 @@ def _check_determinism_roundtrip(cfg: RunConfig, adversarial: bool) -> CheckResu
         "equal paths and ladder profiles; different seeds differ"
     )
     t0 = time.perf_counter()
-    params = {"rate": cfg.rate, "init_density": cfg.init_density}
-    if cfg.model == "edge-flip-planted" or cfg.planted:
-        params.update(boost_edge=(1, 2), boost_factor=cfg.boost_factor)
-    model = "edge-flip-planted" if cfg.planted else cfg.model
+    model, params = cfg.generator()
     path1 = simulate(model, 64, cfg.horizon, [cfg.seed, 111], params)
     tmp = tempfile.mkdtemp(prefix="graphvar-verify-")
     f1 = os.path.join(tmp, "a.jsonl")

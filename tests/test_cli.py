@@ -11,8 +11,9 @@ from graphvar.config import (
     resolve_config,
 )
 from graphvar.density import load_density_vector
-from graphvar.graphs import write_edge_list, er_sample
+from graphvar.graphs import DataError, write_edge_list, er_sample
 from graphvar.process import load_path
+from graphvar.variation import default_windows
 
 
 # ---------------------------------------------------------------------------
@@ -22,8 +23,7 @@ from graphvar.process import load_path
 def test_runconfig_defaults_and_windows():
     cfg = RunConfig()
     assert cfg.model == "edge-flip"
-    assert cfg.windows() == (16, 32, 64)
-    assert RunConfig(m_grid=(4, 8)).windows() == (4, 8)
+    assert default_windows(cfg.vertices) == (16, 32, 64)
     d = cfg.to_dict()
     assert d["p_grid"] == [0.2, 0.1, 0.05, 0.025]
     assert d["m_grid"] is None
@@ -42,11 +42,10 @@ def test_runconfig_defaults_and_windows():
         {"p_grid": (1.0,)},
         {"m_grid": (1, 4)},
         {"alphas": (0.0,)},
-        {"metric": "cut"},
         {"n_max": 0},
         {"k_perm": 1},
         {"exact_budget": 0},
-        {"tol_rel": 0.0},
+        {"k_inj": 0},
     ],
 )
 def test_runconfig_validation(kwargs):
@@ -71,10 +70,29 @@ def test_parse_config_text():
 
 
 def test_parse_config_text_errors():
-    with pytest.raises(ValueError, match="line 1.*unknown key"):
+    with pytest.raises(DataError, match="line 1.*unknown key"):
         parse_config_text("nope = 3")
-    with pytest.raises(ValueError, match="line 2"):
+    with pytest.raises(DataError, match="line 2"):
         parse_config_text("rate = 1.0\njust words\n")
+    for removed in ("metric = prefix", "tol_rel = 0.01"):
+        with pytest.raises(DataError, match="unknown key"):
+            parse_config_text(removed)
+
+
+@pytest.mark.parametrize(
+    "kwargs,model,params",
+    [
+        ({}, "edge-flip", {"rate": 2.0, "init_density": 0.5}),
+        ({"model": "edge-flip-planted", "boost_factor": 4.0}, "edge-flip-planted",
+         {"rate": 2.0, "init_density": 0.5, "boost_edge": (1, 2), "boost_factor": 4.0}),
+        ({"planted": True, "rate": 3.0}, "edge-flip-planted",
+         {"rate": 3.0, "init_density": 0.5, "boost_edge": (1, 2), "boost_factor": 10.0}),
+        ({"model": "graphon-jump", "rate": 3.0, "init_density": 0.2}, "graphon-jump",
+         {"grids": [[[0.2]]], "global_rate": 3.0}),
+    ],
+)
+def test_runconfig_generator(kwargs, model, params):
+    assert RunConfig(**kwargs).generator() == (model, params)
 
 
 def test_resolve_config_precedence(tmp_path):
@@ -132,7 +150,9 @@ def test_simulate_graphon_model(tmp_path):
     code = main(["simulate", "--out", str(out), "--model", "graphon-jump",
                  "--vertices", "12", "--rate", "3.0", "--seed", "4"])
     assert code == 0
-    assert load_path(out).model_meta["model"] == "graphon-jump"
+    meta = load_path(out).model_meta
+    assert meta["model"] == "graphon-jump"
+    assert meta["params"]["global_rate"] == 3.0
 
 
 def test_analyze_sections(tmp_path, capsys):
@@ -222,6 +242,44 @@ def test_densities_bad_edge_list(tmp_path):
     assert main(["densities", "--graph", str(f)]) == 3
 
 
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (b"n 5\n1 2\n3 \xc3\xa9\n", "line 3: non-ASCII byte"),
+        (b"n 5\n1 2\n1 x\n", "line 3: endpoints must be integers"),
+        (b"n abc\n1 2\n", "line 1: vertex count must be an integer"),
+    ],
+)
+def test_densities_bad_edge_list_exits_3_with_line(tmp_path, capsys, data, message):
+    f = tmp_path / "bad.txt"
+    f.write_bytes(data)
+    assert main(["densities", "--graph", str(f)]) == 3
+    assert f"{f}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon", ["0.0", "-1.0"])
+def test_analyze_non_positive_horizon_exits_3(tmp_path, capsys, horizon):
+    src = tmp_path / "p.jsonl"
+    src.write_text(f'{{"type": "header", "n": 4, "horizon": {horizon}}}\n'
+                   '{"type": "init", "edges": []}\n')
+    assert main(["analyze", "--path", str(src), "--skip-variation", "--skip-tv"]) == 3
+    assert "line 1-2: bad header/init record: horizon must be finite and positive" in (
+        capsys.readouterr().err
+    )
+
+
+def test_config_file_errors_exit_3_with_line(tmp_path, capsys):
+    src = simulate_small(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cases = [(b"p_grid = [0.2]\nmetric = prefix\n", "line 2: unknown key 'metric'"),
+             (b"p_grid = [0.2]\n# caf\xe9\n", "line 2: byte is not UTF-8")]
+    for data, message in cases:
+        cfg.write_bytes(data)
+        capsys.readouterr()
+        assert main(["analyze", "--path", str(src), "--config", str(cfg)]) == 3
+        assert f"{cfg}: {message}" in capsys.readouterr().err
+
+
 def test_densities_at_outside_horizon(tmp_path):
     src = simulate_small(tmp_path)
     assert main(["densities", "--path", str(src), "--at", "2.0"]) == 2
@@ -264,6 +322,22 @@ def test_report_failing_file(tmp_path, capsys):
     assert main(["report", "--report", str(f)]) == 1
     assert "result: FAIL" in capsys.readouterr().out
     assert main(["report", "--report", str(tmp_path / "missing.json")]) == 3
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("not json", "line 1: invalid JSON"),
+        ('{"checks": [{}]}', "not a verification report: KeyError('name')"),
+        ('{"checks": [{"name": "x", "status": "fail", "lhs": [1]}]}', "not a verification report"),
+        ("[1, 2]", "not a verification report"),
+    ],
+)
+def test_report_malformed_file_exits_3(tmp_path, capsys, text, message):
+    f = tmp_path / "r.json"
+    f.write_text(text)
+    assert main(["report", "--report", str(f)]) == 3
+    assert f"{f}: {message}" in capsys.readouterr().err
 
 
 def test_missing_required_flag_exits_2():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,21 +12,45 @@ from graphvar.graphs import (
     apply_map,
     er_sample,
     num_pairs,
+    project,
     restrict,
 )
 from graphvar.metrics import (
+    EXACT_PERM_LIMIT,
     ConvergenceReport,
     edit_density,
-    edit_density_profile,
     partial_zeta,
-    perm_average,
-    perm_average_profile,
     perm_prefix_power,
     prefix_agreement,
+    prefix_distances,
     prefix_metric,
     prefix_power_series,
+    relabelings,
     slln_statistic,
 )
+
+
+def perm_average(h, f, g, m, k=1000, seed=0):
+    """Brute-force oracle: average of h(f^sigma, g^sigma) over permutations
+    sigma of [m], one apply_map per relabeling.
+
+    Exact enumeration whenever m! <= EXACT_PERM_LIMIT (stderr 0); otherwise a
+    Monte Carlo estimate from k uniform permutations, as (mean, stderr).
+    """
+    if not (1 <= m <= min(f.n, g.n)):
+        raise ValueError("window m out of range")
+    if math.factorial(m) <= EXACT_PERM_LIMIT:
+        vals = [
+            h(apply_map(f, InjectiveMap(perm)), apply_map(g, InjectiveMap(perm)))
+            for perm in itertools.permutations(range(1, m + 1))
+        ]
+        return float(np.mean(vals)), 0.0
+    rng = np.random.default_rng(seed)
+    vals = np.empty(k)
+    for r in range(k):
+        phi = InjectiveMap(tuple(int(v) + 1 for v in rng.permutation(m)))
+        vals[r] = h(apply_map(f, phi), apply_map(g, phi))
+    return float(vals.mean()), float(np.std(vals, ddof=1) / math.sqrt(k))
 
 
 def test_edit_density_values():
@@ -41,20 +66,6 @@ def test_edit_density_errors():
         edit_density(AdjacencyGraph.empty(3), AdjacencyGraph.empty(4))
     with pytest.raises(ValueError):
         edit_density(AdjacencyGraph.empty(1), AdjacencyGraph.empty(1))
-
-
-def test_edit_density_profile_levels():
-    f = AdjacencyGraph.from_edges(5, [(1, 2), (4, 5)])
-    g = AdjacencyGraph.empty(5)
-    rep = edit_density_profile(f, g, (2, 3, 5), tolerance=0.5)
-    assert rep.values == (1.0, 2 / 6, 2 * 2 / 20)
-    assert rep.estimate == pytest.approx(0.2)
-    assert rep.last_delta == pytest.approx(2 / 6 - 0.2)
-    assert rep.converged
-    with pytest.raises(ValueError):
-        edit_density_profile(f, g, (3, 2))
-    with pytest.raises(ValueError):
-        edit_density_profile(f, g, (2, 8))
 
 
 def test_prefix_agreement_first_disagreement():
@@ -110,12 +121,44 @@ def test_perm_average_window_out_of_range():
         perm_average(edit_density, f, f, 0)
 
 
-def test_perm_average_profile_rows():
-    f = er_sample(6, 0.5, 3)
-    g = er_sample(6, 0.5, 4)
-    rows = perm_average_profile(prefix_metric, f, g, (2, 4, 6), k=10, seed=1)
-    assert [m for m, _, _ in rows] == [2, 4, 6]
-    assert all(se == 0.0 for _, _, se in rows)  # all windows exact here
+def relabeled(g, row):
+    """g under the relabeling with inverse positions `row`: vertex v moves to
+    position row[v], so position q holds the vertex argsort(row)[q]."""
+    return apply_map(g, InjectiveMap(tuple(int(v) + 1 for v in np.argsort(row))))
+
+
+@pytest.mark.parametrize("n,k", [(2, 0), (4, 0), (6, 0), (7, 0), (9, 60)])
+def test_prefix_distances_match_scalar_oracle(n, k):
+    f, g, h = (er_sample(n, 0.4, [80, n, r]) for r in range(3))
+    pairs = [(f, g), (h, h), (AdjacencyGraph.empty(n), AdjacencyGraph.from_edges(n, [(n - 1, n)]))]
+    if n < 7:
+        pairs.append((g, h))
+    inv, exact = relabelings(n, k, seed=[81, n])
+    assert exact == (math.factorial(n) <= EXACT_PERM_LIMIT)
+    assert len({tuple(row) for row in inv}) == (math.factorial(n) if exact else k)
+    windows = range(1, n + 1)
+    dist = prefix_distances([a.bits ^ b.bits for a, b in pairs], n, windows, inv)
+    for s, (a, b) in enumerate(pairs):
+        for r, row in enumerate(inv):
+            ra, rb = relabeled(a, row), relabeled(b, row)
+            for m in windows:
+                assert dist[m][s, r] == prefix_metric(project(ra, m), project(rb, m))
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_relabelings_rows_are_successive_permutation_draws(n):
+    k = 600  # crosses a batch boundary
+    inv, exact = relabelings(n, k, seed=[3, n])
+    assert not exact and inv.shape == (k, n)
+    rng = np.random.default_rng([3, n])
+    expect = np.array([np.argsort(rng.permutation(n)) for _ in range(k)])
+    assert np.array_equal(inv, expect)
+
+
+def test_relabelings_need_two_draws():
+    with pytest.raises(ValueError, match="at least two"):
+        relabelings(8, 1, seed=0)
+    assert relabelings(7, 1, seed=0)[0].shape == (5040, 7)  # enumeration ignores k
 
 
 def single_pair_power(n: int, alpha: float) -> float:

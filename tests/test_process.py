@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from graphvar.graphs import (
     AdjacencyGraph,
+    DataError,
     InjectiveMap,
     apply_map,
     num_pairs,
@@ -21,7 +22,6 @@ from graphvar.process import (
     exchangeability_check,
     jump_counts,
     load_path,
-    path_statistic,
     relabel_path,
     restrict_path,
     save_path,
@@ -182,6 +182,13 @@ def test_validate_rejects_time_outside_horizon():
         build(3, [EdgeEvent(1.5, 1, 2, 1)])
     with pytest.raises(ValueError, match="horizon|time"):
         build(3, [EdgeEvent(0.0, 1, 2, 1)])
+
+
+def test_validate_rejects_nan_time():
+    path = EventLogPath(3, 1.0, AdjacencyGraph.empty(3), np.array([math.nan]),
+                        np.array([1]), np.array([2]), np.array([1], dtype=np.int8))
+    with pytest.raises(ValueError, match=r"event times must lie in \(0, horizon\]"):
+        path.validate()
 
 
 def test_validate_rejects_bad_endpoints():
@@ -507,7 +514,7 @@ def test_load_path_malformed_messages(tmp_path, case):
     line, message = MALFORMED[case]
     f = tmp_path / "bad.jsonl"
     f.write_text(HEAD + line + "\n")
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(DataError) as exc:
         load_path(f)
     assert str(exc.value) == f"{f}: {message}"
 
@@ -515,10 +522,10 @@ def test_load_path_malformed_messages(tmp_path, case):
 def test_load_path_overflow_and_deep_nesting_are_data_errors(tmp_path):
     f = tmp_path / "bad.jsonl"
     f.write_text(HEAD + '{"i": 1, "j": 4, "t": 1' + "0" * 400 + ', "type": "ev", "v": 1}\n')
-    with pytest.raises(ValueError, match="line 4: bad event record"):
+    with pytest.raises(DataError, match="line 4: bad event record"):
         load_path(f)
     f.write_text(HEAD + "[" * 100_000 + "\n")
-    with pytest.raises(ValueError, match=r"line 4: invalid JSON \(nested too deeply\)"):
+    with pytest.raises(DataError, match=r"line 4: invalid JSON \(nested too deeply\)"):
         load_path(f)
 
 
@@ -527,6 +534,16 @@ def test_load_path_rejects_non_finite_horizon(tmp_path, horizon):
     f = tmp_path / "bad.jsonl"
     f.write_text(HEAD.replace('"horizon": 1.0', f'"horizon": {horizon}', 1))
     with pytest.raises(ValueError, match="line 1-2: bad header/init record: horizon must be finite"):
+        load_path(f)
+
+
+@pytest.mark.parametrize("horizon", ["0.0", "0", "-0.5"])
+def test_load_path_rejects_non_positive_horizon(tmp_path, horizon):
+    f = tmp_path / "bad.jsonl"
+    f.write_text(HEAD.split("\n", 2)[0].replace('"horizon": 1.0', f'"horizon": {horizon}')
+                 + '\n{"edges": [], "type": "init"}\n')
+    with pytest.raises(DataError, match="line 1-2: bad header/init record: "
+                                        "horizon must be finite and positive"):
         load_path(f)
 
 
@@ -568,16 +585,6 @@ def test_load_path_non_ascii_byte_names_its_line(tmp_path, long_path_text):
 # statistics and the relabeling KS diagnostic
 
 
-def test_path_statistic_values():
-    ev = [EdgeEvent(0.2, 1, 2, 1), EdgeEvent(0.7, 1, 3, 1)]
-    path = build(4, ev)
-    assert path_statistic(path, "total-jumps") == 2.0
-    assert path_statistic(path, "edge-density-at-1") == pytest.approx(2 * 2 / 12)
-    assert path_statistic(path, "Np-at-p", p=0.2) >= 1.0
-    with pytest.raises(ValueError, match="unknown statistic"):
-        path_statistic(path, "nope")
-
-
 def test_exchangeability_check_needs_enough_seeds():
     with pytest.raises(ValueError, match="seed"):
         exchangeability_check("edge-flip", {"rate": 1.0}, 8, seed_count=5)
@@ -585,8 +592,7 @@ def test_exchangeability_check_needs_enough_seeds():
 
 def test_exchangeable_model_passes_ks():
     rep = exchangeability_check(
-        "edge-flip", {"rate": 2.0}, 16, seed_count=30, statistic="total-jumps",
-        seed=24, window=8,
+        "edge-flip", {"rate": 2.0}, 16, seed_count=30, seed=24, window=8,
     )
     assert rep.p_value > 0.01
     assert rep.seed_count == 30
@@ -599,7 +605,6 @@ def test_planted_model_fails_ks():
         {"rate": 1.0, "boost_edge": (1, 2), "boost_factor": 40.0},
         16,
         seed_count=30,
-        statistic="total-jumps",
         seed=25,
         window=8,
     )

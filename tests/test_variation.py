@@ -15,7 +15,6 @@ from graphvar.process import (
     simulate_graphon_jump,
 )
 from graphvar.variation import (
-    alpha_variation,
     default_windows,
     dyadic_diagnostic,
     jump_bound_check,
@@ -194,7 +193,7 @@ def single_pair_power(n, alpha):
 def test_variation_exact_hand_case_full_window():
     path = two_step_path()
     for alpha in (2.5, 3.0):
-        cell = alpha_variation(path, 1 / 6, alpha, window=4)
+        cell = variation_grid(path, [1 / 6], [4], [alpha]).cell(1 / 6, 4, alpha)
         assert cell.exact and cell.stderr == 0.0
         assert cell.n_p == 3
         # two one-pair segments plus an identical-endpoints final segment
@@ -206,7 +205,7 @@ def test_variation_exact_hand_case_window_two():
     # in a 2-vertex window a lone disagreeing pair is either at positions
     # {0, 1} (probability 1/6, distance 1) or outside (distance 0)
     for alpha in (2.5, 4.0):
-        cell = alpha_variation(path, 1 / 6, alpha, window=2)
+        cell = variation_grid(path, [1 / 6], [2], [alpha]).cell(1 / 6, 2, alpha)
         assert cell.value == pytest.approx(2 / 6, rel=1e-12)
 
 
