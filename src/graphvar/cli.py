@@ -187,6 +187,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         line = f"{c.name}: {c.status.upper()}"
         if c.lhs is not None and c.rhs is not None:
             line += f"  lhs={c.lhs:.6g} rhs={c.rhs:.6g}"
+        if c.status == "error":
+            line += f"  {c.details['error']}"
         line += f"  [{c.runtime_s}s]"
         print(line)
     if args.out:

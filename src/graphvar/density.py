@@ -90,28 +90,36 @@ def _exact_level_counts(host: AdjacencyGraph, k: int, budget: int) -> tuple[np.n
     return counts, denom
 
 
-def _mc_codes(host: AdjacencyGraph, k: int, n_samples: int, seed) -> np.ndarray:
-    """Pattern bitmask of n_samples uniform injective ordered k-tuples."""
-    m = host.n
+def _mc_codes(adj: np.ndarray, k: int, n_samples: int, seed) -> np.ndarray:
+    """Pattern bitmask of n_samples uniform injective ordered k-tuples.
+
+    adj is the host's dense boolean adjacency matrix.  Ordered k-tuples are
+    drawn with replacement in batches; rows that repeat a vertex are rejected
+    and the rest kept in draw order.  Every 1-tuple has code 0, so level 1
+    draws nothing.
+    """
+    m = adj.shape[0]
     _require_level(k, m)
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    codes = np.zeros(n_samples, dtype=np.int64)
+    if k == 1:
+        return codes
+    pairs = list(itertools.combinations(range(k), 2))
     rng = np.random.default_rng(seed)
-    rows = np.empty((n_samples, k), dtype=np.int64)
+    rows = np.empty((k, n_samples), dtype=np.int64)  # one row per tuple coordinate
     have = 0
     while have < n_samples:
         want = n_samples - have
-        batch = rng.integers(0, m, size=(int(want * 1.4) + 16, k))
-        srt = np.sort(batch, axis=1)
-        distinct = np.all(srt[:, 1:] != srt[:, :-1], axis=1)
-        good = batch[distinct][:want]
-        rows[have : have + good.shape[0]] = good
-        have += good.shape[0]
-    a = host.to_matrix().astype(np.int64)
-    codes = np.zeros(n_samples, dtype=np.int64)
-    for x in range(k):
-        for y in range(x + 1, k):
-            codes += a[rows[:, x], rows[:, y]] << pair_index(x + 1, y + 1, k)
+        cols = rng.integers(0, m, size=(int(want * 1.4) + 16, k)).T
+        distinct = np.logical_and.reduce([cols[x] != cols[y] for x, y in pairs])
+        keep = np.flatnonzero(distinct)[:want]
+        for x in range(k):
+            rows[x, have : have + keep.size] = cols[x, keep]
+        have += keep.size
+    flat = adj.ravel()
+    for x, y in pairs:
+        codes |= flat[rows[x] * m + rows[y]].astype(np.int64) << pair_index(x + 1, y + 1, k)
     return codes
 
 
@@ -132,7 +140,7 @@ def density_mc(
     seed=0,
 ) -> tuple[float, float]:
     """Monte Carlo pattern density: (estimate, binomial standard error)."""
-    codes = _mc_codes(host, pattern.n, n_samples, seed)
+    codes = _mc_codes(host.to_matrix(), pattern.n, n_samples, seed)
     hits = int(np.count_nonzero(codes == pattern.bits))
     est = hits / n_samples
     return est, math.sqrt(est * (1.0 - est) / n_samples)
@@ -241,6 +249,7 @@ def limit_vector(
     if mode not in ("exact", "mc", "auto"):
         raise ValueError("mode must be 'exact', 'mc', or 'auto'")
     levels = []
+    adj = None  # dense adjacency, built once for all sampled levels
     for k in range(1, n_max + 1):
         exact = mode == "exact" or (mode == "auto" and math.perm(host.n, k) <= budget)
         if exact:
@@ -256,7 +265,9 @@ def limit_vector(
                 )
             )
         else:
-            codes = _mc_codes(host, k, n_samples, seed_list(seed) + [k])
+            if adj is None:
+                adj = host.to_matrix()
+            codes = _mc_codes(adj, k, n_samples, seed_list(seed) + [k])
             freq = np.bincount(codes, minlength=1 << num_pairs(k)) / n_samples
             se = np.sqrt(freq * (1.0 - freq) / n_samples)
             levels.append(

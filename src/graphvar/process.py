@@ -514,6 +514,10 @@ _EVENT_LINE = re.compile(
     re.MULTILINE,
 )
 _CHUNK_CHARS = 1 << 18  # event text parsed at once; bounds the loader's memory
+# Largest C(n, 2) a path file may declare (n <= 5,793).  Analysis builds
+# pair-sized and n x n arrays per graph state, so a larger header is refused
+# before anything of that size is allocated; n = 1024 has 523,776 pairs.
+MAX_VERTEX_PAIRS = 1 << 24
 
 
 def save_path(path: EventLogPath, file) -> None:
@@ -566,10 +570,17 @@ def load_path(file) -> EventLogPath:
             init = _parse_record(file, 2, head[1], "init")
             try:
                 n = int(header["n"])
+                if num_pairs(n) > MAX_VERTEX_PAIRS:
+                    raise DataError(
+                        f"{file}: line 1: n={n} has {num_pairs(n)} vertex pairs, "
+                        f"over the limit of {MAX_VERTEX_PAIRS}"
+                    )
                 horizon = float(header["horizon"])
                 if not (math.isfinite(horizon) and horizon > 0.0):
                     raise ValueError(f"horizon must be finite and positive, got {horizon}")
                 initial = AdjacencyGraph.from_edges(n, [tuple(e) for e in init["edges"]])
+            except DataError:
+                raise
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{file}: line 1-2: bad header/init record: {exc}") from exc
             events = _canonical_events(fh, n, horizon)

@@ -3,7 +3,8 @@ run against fresh simulations and reported as one structured result per check.
 
 Each check states its inequality, the measured sides, and a status:
 "pass", "pass-with-slack" (holds only inside the Monte Carlo allowance),
-"fail", or "skipped" (refused inputs, e.g. sub-quantum thresholds).
+"fail", "skipped" (refused inputs, e.g. sub-quantum thresholds), or "error"
+(the check raised an unexpected exception; this fails the report).
 Checks derive every stream from the configured base seed, so two runs with
 the same configuration produce identical numbers.
 """
@@ -14,6 +15,7 @@ import math
 import os
 import tempfile
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +50,7 @@ from .variation import (
 class CheckResult:
     name: str
     statement: str
-    status: str  # pass | pass-with-slack | fail | skipped
+    status: str  # pass | pass-with-slack | fail | skipped | error
     lhs: float | None
     rhs: float | None
     slack: float | None
@@ -82,7 +84,7 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
+        return all(c.status not in ("fail", "error") for c in self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -526,6 +528,20 @@ CHECKS = {
 }
 
 
+def _not_run(name: str, statement: str, status: str, started: float, details: dict) -> CheckResult:
+    return CheckResult(
+        name=name,
+        statement=statement,
+        status=status,
+        lhs=None,
+        rhs=None,
+        slack=None,
+        stderr_budget=None,
+        runtime_s=round(time.perf_counter() - started, 3),
+        details=details,
+    )
+
+
 def run_verification(
     cfg: RunConfig | None = None,
     only: str | None = None,
@@ -535,7 +551,9 @@ def run_verification(
 
     With adversarial=True the exchangeability check is pointed at the planted
     generator, so it must fail — a live demonstration that the KS harness has
-    power, and that a failing check drives a failing report.
+    power, and that a failing check drives a failing report.  A check that
+    raises ValueError refused its inputs and is "skipped"; any other exception
+    is recorded as "error", which fails the report.
     """
     cfg = cfg or RunConfig()
     names = sorted(CHECKS)
@@ -551,19 +569,12 @@ def run_verification(
         try:
             results.append(CHECKS[n](cfg, adversarial))
         except ValueError as exc:
-            results.append(
-                CheckResult(
-                    name=n,
-                    statement="check refused its inputs",
-                    status="skipped",
-                    lhs=None,
-                    rhs=None,
-                    slack=None,
-                    stderr_budget=None,
-                    runtime_s=round(time.perf_counter() - t0, 3),
-                    details={"reason": str(exc)},
-                )
-            )
+            results.append(_not_run(n, "check refused its inputs", "skipped", t0,
+                                    {"reason": str(exc)}))
+        except Exception as exc:  # one broken check must not end the report
+            results.append(_not_run(n, "check raised an unexpected exception", "error", t0,
+                                    {"error": f"{type(exc).__name__}: {exc}",
+                                     "traceback": traceback.format_exc()}))
     return VerificationReport(
         config=cfg.to_dict(), adversarial=adversarial, checks=tuple(results)
     )

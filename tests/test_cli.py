@@ -14,6 +14,7 @@ from graphvar.density import load_density_vector
 from graphvar.graphs import DataError, write_edge_list, er_sample
 from graphvar.process import load_path
 from graphvar.variation import default_windows
+from graphvar.verify import CHECKS
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +215,14 @@ def test_analyze_non_ascii_path_file_exits_3(tmp_path, capsys):
     assert f"{src}: line 5: non-ASCII byte" in capsys.readouterr().err
 
 
+def test_analyze_oversized_vertex_count_exits_3(tmp_path, capsys):
+    src = tmp_path / "big.jsonl"
+    src.write_text('{"type": "header", "n": 100000, "horizon": 1.0}\n'
+                   '{"type": "init", "edges": []}\n')
+    assert main(["analyze", "--path", str(src)]) == 3
+    assert f"{src}: line 1: n=100000 has 4999950000 vertex pairs" in capsys.readouterr().err
+
+
 def test_densities_from_edge_list(tmp_path, capsys):
     g = er_sample(10, 0.5, 9)
     f = tmp_path / "g.txt"
@@ -300,6 +309,26 @@ def test_verify_only_and_report_roundtrip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "weight-classification" in out and "result: OK" in out
+
+
+def test_verify_unexpected_exception_is_error(tmp_path, capsys, monkeypatch):
+    def broken(cfg, adversarial):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(CHECKS, "weight-classification", broken)
+    rep_file = tmp_path / "report.json"
+    code = main(["verify", "--only", "weight", "--out", str(rep_file)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "weight-classification: ERROR" in out and "RuntimeError: boom" in out
+    assert "result: FAIL" in out
+    data = json.loads(rep_file.read_text())
+    assert data["ok"] is False
+    assert data["checks"][0]["status"] == "error"
+
+    assert main(["report", "--report", str(rep_file)]) == 1
+    out = capsys.readouterr().out
+    assert "weight-classification  error" in out and "result: FAIL" in out
 
 
 def test_verify_unknown_only_is_usage_error(tmp_path, capsys):

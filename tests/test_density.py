@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphvar.density import (
     DensityLevel,
     DensityVector,
     WeightFunction,
+    _mc_codes,
     bound_constant,
     density_exact,
     density_mc,
@@ -23,7 +26,7 @@ from graphvar.density import (
     weight_admissibility,
     weight_family,
 )
-from graphvar.graphs import AdjacencyGraph, er_sample, num_pairs, pair_endpoints
+from graphvar.graphs import AdjacencyGraph, er_sample, num_pairs, pair_endpoints, pair_index
 from graphvar.process import EdgeEvent, EventLogPath
 
 
@@ -95,6 +98,87 @@ def test_density_mc_within_error_of_exact():
     # deterministic under the seed
     assert density_mc(pattern, host, n_samples=1000, seed=1) == density_mc(
         pattern, host, n_samples=1000, seed=1
+    )
+
+
+def sorted_mc_codes(host, k, n_samples, seed):
+    """Reference sampler: rows checked for distinctness by sorting, codes by 2-D indexing."""
+    m = host.n
+    rng = np.random.default_rng(seed)
+    rows = np.empty((n_samples, k), dtype=np.int64)
+    have = 0
+    while have < n_samples:
+        want = n_samples - have
+        batch = rng.integers(0, m, size=(int(want * 1.4) + 16, k))
+        srt = np.sort(batch, axis=1)
+        distinct = np.all(srt[:, 1:] != srt[:, :-1], axis=1)
+        good = batch[distinct][:want]
+        rows[have : have + good.shape[0]] = good
+        have += good.shape[0]
+    a = host.to_matrix().astype(np.int64)
+    codes = np.zeros(n_samples, dtype=np.int64)
+    for x in range(k):
+        for y in range(x + 1, k):
+            codes += a[rows[:, x], rows[:, y]] << pair_index(x + 1, y + 1, k)
+    return codes
+
+
+def assert_codes_match_oracle(host, k, n_samples, seed):
+    got = _mc_codes(host.to_matrix(), k, n_samples, seed)
+    want = sorted_mc_codes(host, k, n_samples, seed)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("host_size", ["k", "k+1", "9", "256"])
+def test_mc_codes_match_sorting_oracle(k, host_size):
+    # m == k rejects all but k!/k^k of the rows, so the draw loop runs many
+    # passes; m == 256 is the analyze host size
+    m = {"k": k, "k+1": k + 1, "9": 9, "256": 256}[host_size]
+    host = er_sample(m, 0.5, 100 + m)
+    for seed in (0, 1, [7, k]):
+        assert_codes_match_oracle(host, k, 3_000, seed)
+
+
+@given(
+    k=st.integers(1, 6),
+    extra=st.integers(0, 20),
+    n_samples=st.integers(1, 400),
+    graph_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_mc_codes_match_sorting_oracle_random(k, extra, n_samples, graph_seed, seed):
+    host = er_sample(k + extra, 0.5, graph_seed)
+    assert_codes_match_oracle(host, k, n_samples, seed)
+
+
+def test_mc_values_pinned():
+    # the values the sort-based sampler gave, before the rewrite
+    vec = limit_vector(er_sample(12, 0.5, 60), n_max=3, mode="mc", n_samples=2000, seed=7)
+    assert vec.level(1).t == (1.0,) and vec.level(1).stderr == (0.0,)
+    assert [round(t * 2000) for t in vec.level(2).t] == [926, 1074]
+    assert [round(t * 2000) for t in vec.level(3).t] == [222, 234, 233, 284, 226, 249, 265, 287]
+    assert vec.level(3).stderr[:2] == (0.007024208140424087, 0.007187176079657434)
+    vec = limit_vector(er_sample(64, 0.4, 59), n_max=4, mode="mc", n_samples=3000, seed=[3, 1])
+    assert [round(t * 3000) for t in vec.level(4).t] == [
+        113, 95, 86, 58, 80, 56, 62, 39, 101, 57, 60, 53, 62, 39, 42, 30,
+        100, 73, 56, 34, 60, 48, 45, 24, 45, 38, 52, 24, 44, 40, 28, 13,
+        95, 55, 69, 44, 63, 38, 42, 34, 56, 54, 53, 32, 60, 26, 31, 17,
+        56, 49, 36, 26, 39, 26, 20, 19, 44, 27, 25, 20, 34, 20, 21, 12,
+    ]
+    path3 = AdjacencyGraph.from_edges(3, [(1, 2), (2, 3)])
+    assert density_mc(path3, er_sample(30, 0.3, 55), n_samples=40_000, seed=56) == (
+        0.0658, 0.0012396608407141043
+    )
+    assert density_mc(AdjacencyGraph.empty(1), er_sample(9, 0.5, 1), 500, seed=1) == (1.0, 0.0)
+    rep = lipschitz_check(
+        AdjacencyGraph.complete(3), er_sample(30, 0.5, 68), er_sample(30, 0.5, 69),
+        mode="mc", n_samples=20_000, seed=70,
+    )
+    assert (rep.lhs, rep.margin, rep.allowance) == (
+        0.02835, 1.5923396551724136, 0.01370190080532504
     )
 
 

@@ -15,6 +15,7 @@ from graphvar.graphs import (
     restrict,
 )
 from graphvar.process import (
+    MAX_VERTEX_PAIRS,
     EdgeEvent,
     EventLogPath,
     PiecewiseRate,
@@ -545,6 +546,28 @@ def test_load_path_rejects_non_positive_horizon(tmp_path, horizon):
     with pytest.raises(DataError, match="line 1-2: bad header/init record: "
                                         "horizon must be finite and positive"):
         load_path(f)
+
+
+@pytest.mark.parametrize("n", ["100000", "100000.0", '"5794"', "10000000000"])
+def test_load_path_refuses_oversized_vertex_count(tmp_path, n):
+    f = tmp_path / "big.jsonl"
+    # the init edge would size the state to the highest pair if it were built
+    f.write_text(f'{{"horizon": 1.0, "n": {n}, "type": "header"}}\n'
+                 '{"edges": [[5793, 5794]], "type": "init"}\n')
+    with pytest.raises(DataError, match=rf"line 1: n=\d+ has \d+ vertex pairs, "
+                                        rf"over the limit of {MAX_VERTEX_PAIRS}$"):
+        load_path(f)
+
+
+def test_load_path_vertex_cap_boundary(tmp_path):
+    assert num_pairs(5793) <= MAX_VERTEX_PAIRS < num_pairs(5794)
+    assert num_pairs(1024) * 32 < MAX_VERTEX_PAIRS
+    f = tmp_path / "edge.jsonl"
+    f.write_text('{"horizon": 1.0, "n": 5793, "type": "header"}\n'
+                 '{"edges": [[5792, 5793]], "type": "init"}\n'
+                 '{"i": 1, "j": 5793, "t": 0.5, "type": "ev", "v": 1}\n')
+    path = load_path(f)
+    assert path.n == 5793 and path.event_count == 1 and path.initial.edge_count == 1
 
 
 @pytest.fixture(scope="module")

@@ -53,6 +53,23 @@ def test_refused_inputs_surface_as_skipped():
     assert rep.ok  # skipped is not a failure
 
 
+def test_unexpected_exception_surfaces_as_error(monkeypatch):
+    def broken(cfg, adversarial):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(CHECKS, "weight-broken", broken)
+    rep = run_verification(only="weight")
+    statuses = {c.name: c.status for c in rep.checks}
+    # the exception is recorded and the other check still runs
+    assert statuses == {"weight-broken": "error", "weight-classification": "pass"}
+    c = rep.checks[0]
+    assert not c.ok
+    assert c.details["error"] == "RuntimeError: boom"
+    assert c.details["traceback"].rstrip().endswith("RuntimeError: boom")
+    assert c.lhs is None and c.rhs is None
+    assert not rep.ok and rep.to_dict()["ok"] is False
+
+
 def test_check_result_ok_semantics():
     base = dict(statement="s", lhs=None, rhs=None, slack=None,
                 stderr_budget=None, runtime_s=0.0, details={})
@@ -60,6 +77,7 @@ def test_check_result_ok_semantics():
     assert CheckResult(name="x", status="pass-with-slack", **base).ok
     assert not CheckResult(name="x", status="fail", **base).ok
     assert not CheckResult(name="x", status="skipped", **base).ok
+    assert not CheckResult(name="x", status="error", **base).ok
 
 
 def test_adversarial_flag_recorded_and_fails():
