@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .graphs import DataError
-from .process import MODELS
+from .process import MODELS, check_vertex_count
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,7 @@ class RunConfig:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.vertices < 2:
             raise ValueError("vertices must be at least 2")
+        check_vertex_count(self.vertices)
         if self.rate < 0:
             raise ValueError("rate must be nonnegative")
         if not (0.0 <= self.init_density <= 1.0):
@@ -102,6 +103,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             parsed = json.loads(value)
         except json.JSONDecodeError:
             parsed = value  # bare string, e.g. model = edge-flip
+        except (ValueError, RecursionError):  # over 4300 digits, or nested too deeply
+            raise DataError(f"{source}: line {lineno}: value is too long or too deep") from None
         if key in _TUPLE_KEYS and isinstance(parsed, list):
             parsed = tuple(parsed)
         out[key] = parsed

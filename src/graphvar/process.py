@@ -13,6 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -30,6 +31,20 @@ from .graphs import (
     restrict,
     seed_list,
 )
+
+# Largest C(n, 2) a path may have (n <= 5,793).  Analysis builds pair-sized
+# and n x n arrays per graph state, so simulate and load_path refuse a larger
+# vertex count before anything of that size is allocated; n = 1024 has
+# 523,776 pairs.
+MAX_VERTEX_PAIRS = 1 << 24
+
+
+def check_vertex_count(n: int) -> None:
+    """Refuse a vertex count whose C(n, 2) exceeds MAX_VERTEX_PAIRS."""
+    if num_pairs(n) > MAX_VERTEX_PAIRS:
+        raise ValueError(
+            f"n={n} has {num_pairs(n)} vertex pairs, over the limit of {MAX_VERTEX_PAIRS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -100,6 +115,23 @@ class StepGraphon:
         return self.values[cells[ii], cells[jj]]
 
 
+@dataclass(frozen=True)
+class EventIndex:
+    """Per-event lookups that every scan of one path shares.
+
+    before[k] is the pair's state just before event k: the previous event's
+    value on that pair, or the initial state.  next_same[k] is the index of
+    the next event on the same pair, or the event count if there is none.
+    batch_end[k] tells whether event k is the last of its same-timestamp
+    batch, and batch_start[k] is the index of that batch's first event.
+    """
+
+    before: np.ndarray
+    next_same: np.ndarray
+    batch_end: np.ndarray
+    batch_start: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class EventLogPath:
     """Initial graph plus single-edge events strictly sorted by (time, i, j)."""
@@ -123,9 +155,38 @@ class EventLogPath:
     def event_count(self) -> int:
         return int(self.times.shape[0])
 
-    @property
+    # The cached arrays below live in the instance dict, outside the fields,
+    # so __eq__ never sees them; the fields they derive from are read-only.
+    @cached_property
     def pair_ids(self) -> np.ndarray:
-        return pair_indices(self.edge_i, self.edge_j, self.n)
+        """Pair index of every event (read-only, computed once per path)."""
+        pids = pair_indices(self.edge_i, self.edge_j, self.n)
+        pids.setflags(write=False)
+        return pids
+
+    @cached_property
+    def event_index(self) -> EventIndex:
+        """The EventIndex of this path (read-only, built once per path)."""
+        e = self.event_count
+        pids = self.pair_ids
+        itype = np.int32 if e < np.iinfo(np.int32).max else np.int64
+        # by pair, then event order: the keys are unique, so the fast unstable
+        # sort gives the stable order
+        order = np.argsort(pids * e + np.arange(e))
+        same = pids[order[1:]] == pids[order[:-1]]
+        prev, nxt = order[:-1][same], order[1:][same]
+        next_same = np.full(e, e, dtype=itype)
+        next_same[prev] = nxt
+        before = self.initial.to_pair_vector().view(np.uint8)[pids]
+        before[nxt] = self.values[prev]
+        starts = np.ones(e, dtype=bool)
+        starts[1:] = self.times[1:] != self.times[:-1]
+        batch_end = np.ones(e, dtype=bool)
+        batch_end[:-1] = starts[1:]
+        batch_start = np.maximum.accumulate(np.where(starts, np.arange(e, dtype=itype), 0))
+        for arr in (before, next_same, batch_end, batch_start):
+            arr.setflags(write=False)
+        return EventIndex(before, next_same, batch_end, batch_start)
 
     def events(self) -> Iterator[EdgeEvent]:
         for k in range(self.event_count):
@@ -179,17 +240,11 @@ class EventLogPath:
             raise ValueError("events must be strictly sorted by (time, i, j)")
         if not np.all((self.values == 0) | (self.values == 1)):
             raise ValueError("event values must be 0 or 1")
-        # genuine jumps: per edge, values alternate starting opposite the initial state
-        pids = self.pair_ids
-        order = np.lexsort((self.times, pids))
-        sp = pids[order]
-        sv = self.values[order].astype(np.int8)
-        starts = np.r_[0, np.flatnonzero(np.diff(sp)) + 1]
-        occ = np.arange(e) - np.repeat(starts, np.diff(np.r_[starts, e]))
-        init_vec = self.initial.to_pair_vector().astype(np.int8)
-        expected = init_vec[sp] ^ np.int8(1) ^ (occ % 2).astype(np.int8)
-        if not np.array_equal(sv, expected):
-            k = int(order[np.flatnonzero(sv != expected)[0]])
+        # genuine jumps: every event changes its pair's state; report the
+        # first offender in (pair, time) order
+        bad = np.flatnonzero(self.values == self.event_index.before)
+        if bad.size:
+            k = int(bad[np.argmin(self.pair_ids[bad])])
             raise ValueError(
                 f"event {k} on edge ({self.edge_i[k]}, {self.edge_j[k]}) "
                 "is not a genuine jump"
@@ -398,7 +453,12 @@ MODELS = ("edge-flip", "edge-flip-planted", "graphon-jump")
 
 
 def simulate(model: str, n: int, horizon: float, seed, params: dict) -> EventLogPath:
-    """Dispatch on model name; params mirror the generator keyword arguments."""
+    """Dispatch on model name; params mirror the generator keyword arguments.
+
+    A vertex count over the MAX_VERTEX_PAIRS cap is refused before any
+    pair-sized array is allocated.
+    """
+    check_vertex_count(n)
     if model == "edge-flip":
         return simulate_edge_flip(
             n,
@@ -442,12 +502,19 @@ def snapshot(path: EventLogPath, t: float) -> AdjacencyGraph:
     k = int(np.searchsorted(path.times, t, side="right"))
     if k == 0:
         return path.initial
-    vec = path.initial.to_pair_vector().copy()
-    pids = path.pair_ids[:k]
-    rev = pids[::-1]
-    uniq, first_rev = np.unique(rev, return_index=True)
-    vec[uniq] = path.values[:k][::-1][first_rev].astype(bool)
+    vec = path.initial.to_pair_vector()
+    apply_events(path, vec, 0, k)
     return AdjacencyGraph.from_pair_vector(path.n, vec)
+
+
+def apply_events(path: EventLogPath, state: np.ndarray, lo: int, hi: int) -> None:
+    """Advance `state`, the pair vector just before event lo, past event hi - 1.
+
+    One scatter: each pair touched in [lo, hi) takes the value of its last
+    event there, the one whose next same-pair event lies at or past hi.
+    """
+    last = path.event_index.next_same[lo:hi] >= hi
+    state[path.pair_ids[lo:hi][last]] = path.values[lo:hi][last]
 
 
 def jump_counts(path: EventLogPath) -> JumpCounts:
@@ -514,10 +581,6 @@ _EVENT_LINE = re.compile(
     re.MULTILINE,
 )
 _CHUNK_CHARS = 1 << 18  # event text parsed at once; bounds the loader's memory
-# Largest C(n, 2) a path file may declare (n <= 5,793).  Analysis builds
-# pair-sized and n x n arrays per graph state, so a larger header is refused
-# before anything of that size is allocated; n = 1024 has 523,776 pairs.
-MAX_VERTEX_PAIRS = 1 << 24
 
 
 def save_path(path: EventLogPath, file) -> None:
@@ -570,11 +633,10 @@ def load_path(file) -> EventLogPath:
             init = _parse_record(file, 2, head[1], "init")
             try:
                 n = int(header["n"])
-                if num_pairs(n) > MAX_VERTEX_PAIRS:
-                    raise DataError(
-                        f"{file}: line 1: n={n} has {num_pairs(n)} vertex pairs, "
-                        f"over the limit of {MAX_VERTEX_PAIRS}"
-                    )
+                try:
+                    check_vertex_count(n)
+                except ValueError as exc:
+                    raise DataError(f"{file}: line 1: {exc}") from None
                 horizon = float(header["horizon"])
                 if not (math.isfinite(horizon) and horizon > 0.0):
                     raise ValueError(f"horizon must be finite and positive, got {horizon}")
@@ -620,6 +682,8 @@ def _parse_record(file, lineno: int, line: str, want: str) -> dict:
         raise DataError(f"{file}: line {lineno}: invalid JSON ({exc.msg})") from exc
     except RecursionError:
         raise DataError(f"{file}: line {lineno}: invalid JSON (nested too deeply)") from None
+    except ValueError:  # an integer of over 4300 digits
+        raise DataError(f"{file}: line {lineno}: invalid JSON (integer too long)") from None
     if not isinstance(rec, dict) or "type" not in rec:
         raise DataError(f"{file}: line {lineno}: record missing 'type'")
     if rec["type"] != want:

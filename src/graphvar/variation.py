@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import AdjacencyGraph, density_quantum, num_pairs, seed_list
+from .graphs import AdjacencyGraph, _pack, density_quantum, num_pairs, seed_list
 from .metrics import partial_zeta, prefix_distances, relabeling_mean, relabelings
-from .process import EventLogPath, jump_counts
+from .process import EventLogPath, apply_events, jump_counts
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,12 @@ def stopping_ladder(path: EventLogPath, p: float) -> StoppingLadder:
     batch itself was large enough (>= p * C(n,2) events) to cross alone.
     Thresholds below the density quantum 2/(n(n-1)) cannot be resolved and
     are rejected.
+
+    The scan is vectorized one segment at a time over the path's shared
+    EventIndex: event k moves the disagreement count with the anchor by +1
+    when the pair's state just before it equals the anchor's, else by -1,
+    and the first batch end whose running count reaches p * C(n,2) is the
+    next crossing.
     """
     if not (0.0 < p < 1.0):
         raise ValueError("threshold p must lie strictly between 0 and 1")
@@ -83,54 +89,53 @@ def stopping_ladder(path: EventLogPath, p: float) -> StoppingLadder:
         )
     npairs = num_pairs(n)
     cross_at = p * npairs  # disagreement count scale: J = diff / C(n,2)
+    # a segment needs at least cross_at events; most need less than twice that
+    first_chunk = 2 * math.ceil(cross_at) + 32
 
-    state = bytearray(path.initial.to_pair_vector().astype(np.uint8).tobytes())
-    anchor = bytearray(state)
-    diff = 0
-
-    times = path.times.tolist()
-    pids = path.pair_ids.tolist()
-    vals = path.values.tolist()
-    e = len(times)
+    idx = path.event_index
+    pids = path.pair_ids
+    e = path.event_count
+    anchor = path.initial.to_pair_vector().view(np.uint8)
 
     taus = [0.0]
     anchors = [path.initial]
     step_densities: list[float] = []
     type_a: list[bool] = []
-    batch = 0
 
-    for k in range(e):
-        ev = pids[k]
-        diff += 1 if state[ev] == anchor[ev] else -1
-        state[ev] = vals[k]
-        batch += 1
-        if k + 1 < e and times[k + 1] == times[k]:
-            continue  # same-timestamp batch continues
-        if diff >= cross_at:
-            taus.append(times[k])
-            anchors.append(_graph_from_state(n, state))
-            step_densities.append(diff / npairs)
-            type_a.append(batch >= cross_at)
-            anchor = bytearray(state)
-            diff = 0
-        batch = 0
+    pos = 0  # first event of the current segment
+    while True:
+        lo, chunk, diff, k = pos, first_chunk, 0, None
+        while lo < e:
+            hi = min(e, lo + chunk)
+            step = np.where(idx.before[lo:hi] == anchor[pids[lo:hi]], 1, -1)
+            running = np.cumsum(step) + diff
+            crossed = idx.batch_end[lo:hi] & (running >= cross_at)
+            j = int(crossed.argmax())
+            if crossed[j]:
+                k, diff = lo + j, int(running[j])
+                break
+            diff = int(running[-1])
+            lo, chunk = hi, 2 * chunk
+        end = e if k is None else k + 1
+        apply_events(path, anchor, pos, end)
+        if k is None:
+            break
+        taus.append(float(path.times[k]))
+        anchors.append(AdjacencyGraph(n, _pack(anchor)))
+        step_densities.append(diff / npairs)
+        type_a.append(bool(end - idx.batch_start[k] >= cross_at))
+        pos = end
 
-    final = _graph_from_state(n, state)
     return StoppingLadder(
         p=p,
         horizon=path.horizon,
         taus=tuple(taus),
         anchors=tuple(anchors),
-        final=final,
+        final=AdjacencyGraph(n, _pack(anchor)),
         step_densities=tuple(step_densities),
         final_density=diff / npairs,
         type_a=tuple(type_a),
     )
-
-
-def _graph_from_state(n: int, state: bytearray) -> AdjacencyGraph:
-    vec = np.frombuffer(bytes(state), dtype=np.uint8).astype(bool)
-    return AdjacencyGraph.from_pair_vector(n, vec)
 
 
 @dataclass(frozen=True)

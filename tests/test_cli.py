@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphvar.cli import main
 from graphvar.config import (
@@ -12,7 +16,7 @@ from graphvar.config import (
 )
 from graphvar.density import load_density_vector
 from graphvar.graphs import DataError, write_edge_list, er_sample
-from graphvar.process import load_path
+from graphvar.process import MAX_VERTEX_PAIRS, load_path
 from graphvar.variation import default_windows
 from graphvar.verify import CHECKS
 
@@ -68,6 +72,14 @@ def test_parse_config_text():
     assert out["vertices"] == 32
     assert out["p_grid"] == (0.2, 0.1)
     assert out["planted"] is True
+
+
+def test_runconfig_vertex_cap():
+    # the largest vertex count within the cap; builds no graph
+    assert RunConfig(vertices=5793).vertices == 5793
+    with pytest.raises(ValueError, match=f"n=5794 has 16782321 vertex pairs, "
+                                         f"over the limit of {MAX_VERTEX_PAIRS}"):
+        RunConfig(vertices=5794)
 
 
 def test_parse_config_text_errors():
@@ -137,6 +149,13 @@ def test_simulate_writes_loadable_path(tmp_path, capsys):
     path = load_path(out)
     assert path.n == 16
     assert path.model_meta["model"] == "edge-flip"
+
+
+def test_simulate_oversized_vertex_count_exits_2(tmp_path, capsys):
+    out = tmp_path / "big.jsonl"
+    assert main(["simulate", "--vertices", "6000", "--out", str(out)]) == 2
+    assert "usage error: n=6000 has 17997000 vertex pairs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_planted_model(tmp_path):
@@ -388,3 +407,90 @@ def test_config_file_drives_analyze(tmp_path, capsys):
         if line and not line.startswith(("#", "p,")) and line.count(",") == 3
     ]
     assert len(ladder_rows) == 1  # single configured threshold
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: bad input ends in a typed error, never a traceback
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def fuzzed_path_files(draw) -> bytes:
+    """A valid path file in save_path's layout with up to two fields replaced
+    by arbitrary JSON or dropped, and up to one line replaced by ASCII noise."""
+    n = draw(st.integers(2, 6))
+    pairs = [[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    init = draw(st.lists(st.sampled_from(pairs), unique_by=tuple))
+    state = {tuple(pair): pair in init for pair in pairs}
+    records = [{"type": "header", "n": n, "horizon": 1.0}, {"type": "init", "edges": init}]
+    keys = draw(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_min=True), st.sampled_from(pairs)),
+                         max_size=6, unique_by=lambda key: (key[0], tuple(key[1]))))
+    for t, (i, j) in sorted(keys):
+        state[(i, j)] = not state[(i, j)]
+        records.append({"type": "ev", "i": i, "j": j, "t": t, "v": int(state[(i, j)])})
+    for _ in range(draw(st.integers(0, 2))):
+        rec = draw(st.sampled_from(records))
+        key = draw(st.sampled_from(sorted(rec)))
+        if draw(st.booleans()):
+            rec[key] = draw(JSON_VALUES)
+        else:
+            del rec[key]
+    lines = [json.dumps(rec, sort_keys=True) for rec in records]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = draw(st.text(st.characters(max_codepoint=127), max_size=40))
+    return "\n".join(lines).encode("ascii") + draw(st.sampled_from([b"", b"\n"]))
+
+
+PATH_FILES = st.one_of(fuzzed_path_files(), st.lists(st.binary(max_size=60), max_size=5).map(
+    b"\n".join))
+TOO_LONG = b'{"type": "header", "n": ' + b"1" * 5000 + b"}\n"
+TOO_DEEP = b'{"type": "header", "n": 4, "horizon": 1.0}\n' + b"[" * 100_000 + b"\n"
+
+
+@given(PATH_FILES)
+@example(TOO_LONG)
+@example(TOO_DEEP)
+@settings(max_examples=200, deadline=None)
+def test_load_path_fuzz_raises_only_data_error(tmp_path_factory, data):
+    f = tmp_path_factory.getbasetemp() / "fuzz-load.jsonl"
+    f.write_bytes(data)
+    try:
+        load_path(f)
+    except DataError:
+        pass
+
+
+@given(PATH_FILES)
+@example(TOO_LONG)
+@settings(max_examples=150, deadline=None)
+def test_analyze_fuzz_exit_codes(tmp_path_factory, data):
+    f = tmp_path_factory.getbasetemp() / "fuzz-analyze.jsonl"
+    f.write_bytes(data)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["analyze", "--path", str(f), "--skip-variation", "--skip-tv"])
+    assert code in (0, 1, 2, 3)
+
+
+CONFIG_KEYS = st.sampled_from(sorted(RunConfig().to_dict())) | st.text(max_size=6)
+
+
+@given(st.one_of(
+    st.text(),
+    st.lists(st.tuples(CONFIG_KEYS, st.text(max_size=12) | JSON_VALUES.map(json.dumps)),
+             max_size=5).map(lambda kv: "\n".join(f"{k} = {v}" for k, v in kv)),
+))
+@example("p_grid = " + "[" * 100_000)
+@example("vertices = " + "1" * 5000)
+@settings(max_examples=300, deadline=None)
+def test_parse_config_text_fuzz_raises_only_value_errors(text):
+    try:
+        parse_config_text(text)
+    except ValueError:  # DataError included
+        pass

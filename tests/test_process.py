@@ -12,10 +12,12 @@ from graphvar.graphs import (
     InjectiveMap,
     apply_map,
     num_pairs,
+    pair_index,
     restrict,
 )
 from graphvar.process import (
     MAX_VERTEX_PAIRS,
+    MODELS,
     EdgeEvent,
     EventLogPath,
     PiecewiseRate,
@@ -164,6 +166,32 @@ def test_jump_counts_totals():
     assert jc.max_jumps >= jc.mean_jumps
 
 
+def test_event_index_is_cached_read_only_and_outside_eq():
+    grids = [StepGraphon.constant(0.5), StepGraphon.constant(0.2)]
+    path = simulate_graphon_jump(10, grids, 4.0, seed=20)
+    twin = simulate_graphon_jump(10, grids, 4.0, seed=20)
+    assert 1 < len(set(path.times.tolist())) < path.event_count  # several batches
+    idx = path.event_index
+    assert path.event_index is idx and path.pair_ids is path.pair_ids
+    assert path == twin and twin == path  # twin has built nothing yet
+    for arr in (path.pair_ids, idx.before, idx.next_same, idx.batch_end, idx.batch_start):
+        assert not arr.flags.writeable
+    # against a walk over the events
+    t = path.times.tolist()
+    last, state = {}, path.initial.to_pair_vector().tolist()
+    for k, (i, j, v) in enumerate(zip(path.edge_i.tolist(), path.edge_j.tolist(),
+                                      path.values.tolist())):
+        pid = pair_index(i, j, path.n)
+        assert path.pair_ids[k] == pid
+        assert idx.before[k] == state[pid]
+        if pid in last:
+            assert idx.next_same[last[pid]] == k
+        state[pid], last[pid] = v, k
+        assert idx.batch_end[k] == (k + 1 == len(t) or t[k + 1] != t[k])
+        assert idx.batch_start[k] == t.index(t[k])
+    assert all(idx.next_same[k] == path.event_count for k in last.values())
+
+
 # ---------------------------------------------------------------------------
 # structural validation
 
@@ -272,6 +300,14 @@ def test_simulate_dispatch():
     assert c.model_meta["model"] == "graphon-jump"
     with pytest.raises(ValueError, match="unknown model"):
         simulate("nope", 10, 1.0, 3, {})
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_simulate_refuses_oversized_vertex_count(model):
+    # refused before any pair-sized array exists: C(5794, 2) = 16,782,321
+    with pytest.raises(ValueError, match=rf"^n=5794 has 16782321 vertex pairs, "
+                                         rf"over the limit of {MAX_VERTEX_PAIRS}$"):
+        simulate(model, 5794, 1.0, 0, {})
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphvar.graphs import AdjacencyGraph, num_pairs, density_quantum
 from graphvar.metrics import partial_zeta
@@ -46,17 +48,18 @@ def naive_ladder(path, p):
             steps.append(diff / npairs)
             type_a.append(len(batch) >= p * npairs)
             anchor = set(cur)
-    return taus, anchors, steps, len(cur ^ anchor) / npairs, type_a
+    return taus, anchors, steps, len(cur ^ anchor) / npairs, type_a, frozenset(cur)
 
 
 def assert_matches_naive(path, p):
     lad = stopping_ladder(path, p)
-    taus, anchors, steps, fdens, type_a = naive_ladder(path, p)
+    taus, anchors, steps, fdens, type_a, final = naive_ladder(path, p)
     assert list(lad.taus) == taus
     assert [frozenset(a.edges()) for a in lad.anchors] == anchors
     assert list(lad.step_densities) == steps
     assert lad.final_density == fdens
     assert list(lad.type_a) == type_a
+    assert frozenset(lad.final.edges()) == final
 
 
 @pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.5])
@@ -72,6 +75,96 @@ def test_ladder_matches_naive_replay_batched(seed):
     )
     for p in (0.05, 0.2, 0.6):
         assert_matches_naive(path, p)
+
+
+@st.composite
+def ladder_cases(draw):
+    """(path, p): a small path with same-timestamp batches and a threshold,
+    half the time exactly k / C(n,2)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 7))
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        init = draw(st.sets(st.sampled_from(pairs)))
+        # few distinct times, so batches of simultaneous events are common
+        slots = st.integers(1, 8).map(lambda k: k / 8)
+        keys = draw(st.lists(st.tuples(slots, st.sampled_from(pairs)), max_size=40, unique=True))
+        state = {pair: pair in init for pair in pairs}
+        events = []
+        for t, (i, j) in sorted(keys):
+            state[(i, j)] = not state[(i, j)]
+            events.append(EdgeEvent(t, i, j, int(state[(i, j)])))
+        path = EventLogPath.from_events(n, 1.0, AdjacencyGraph.from_edges(n, init), events)
+    elif draw(st.booleans()):
+        path = simulate_edge_flip(draw(st.integers(2, 9)), 3.0, seed=draw(st.integers(0, 99)))
+    else:
+        grids = [StepGraphon.constant(0.5), StepGraphon.constant(0.2)]
+        path = simulate_graphon_jump(draw(st.integers(2, 9)), grids, 5.0,
+                                     seed=draw(st.integers(0, 99)))
+    npairs = num_pairs(path.n)
+    if npairs < 2:
+        return path, 0.5  # skipped: below the density quantum 1.0 at n=2
+    if draw(st.booleans()):
+        return path, draw(st.integers(1, npairs - 1)) / npairs
+    return path, draw(st.floats(1 / npairs, 1.0, exclude_max=True))
+
+
+@given(ladder_cases())
+@settings(max_examples=200, deadline=None)
+def test_ladder_matches_naive_replay_random(case):
+    path, p = case
+    if p < density_quantum(path.n):
+        with pytest.raises(ValueError, match="quantum"):
+            stopping_ladder(path, p)
+    else:
+        assert_matches_naive(path, p)
+
+
+@pytest.mark.parametrize("events", [[], [EdgeEvent(0.5, 2, 4, 1)]], ids=["empty", "one-event"])
+@pytest.mark.parametrize("p", [1 / 6, 0.5])
+def test_ladder_matches_naive_replay_tiny(events, p):
+    path = EventLogPath.from_events(4, 1.0, AdjacencyGraph.from_edges(4, [(1, 2)]), events)
+    assert_matches_naive(path, p)
+
+
+def test_ladder_segment_longer_than_first_chunk():
+    # n=5, p=0.3: a crossing needs 3 disagreements.  One flip, then 50 toggles
+    # of (1, 2) holding the count at 1 or 2, then two flips: the only crossing
+    # is event 52, past the first scanned chunk (2 * 3 + 32 events), with a
+    # running count of 2 carried across the chunk boundary.
+    events = [EdgeEvent(0.001, 1, 3, 1)]
+    events += [EdgeEvent(0.002 * (k + 1), 1, 2, (k + 1) % 2) for k in range(50)]
+    events += [EdgeEvent(0.5, 1, 4, 1), EdgeEvent(0.6, 1, 5, 1), EdgeEvent(0.7, 2, 3, 1)]
+    path = EventLogPath.from_events(5, 1.0, AdjacencyGraph.empty(5), events)
+    assert_matches_naive(path, 0.3)
+    lad = stopping_ladder(path, 0.3)
+    assert lad.taus == (0.0, 0.6)
+    assert lad.step_densities == (0.3,)
+    assert lad.final_density == 0.1
+
+
+def test_ladder_counts_against_the_state_before_each_event():
+    # Unvalidated: (1, 2) is written 1, 1, 0.  The scan moves the count by +1
+    # when the pair's state just before the event (initial 0, then 1, then 1)
+    # equals the anchor's (0), else by -1: +1, -1, -1.  These are the numbers
+    # of the per-event loop the vectorized scan replaced.
+    path = EventLogPath(
+        3, 1.0, AdjacencyGraph.empty(3), np.array([0.1, 0.2, 0.3]),
+        np.array([1, 1, 1], dtype=np.int32), np.array([2, 2, 2], dtype=np.int32),
+        np.array([1, 1, 0], dtype=np.int8),
+    )
+    lad = stopping_ladder(path, 2 / 3)
+    assert lad.taus == (0.0,)
+    assert lad.final_density == -1 / 3
+    assert lad.final == AdjacencyGraph.empty(3)
+    # at p = 1/3 every event crosses, each measured against the anchor the
+    # event before it left: +1 each time
+    lad = stopping_ladder(path, 1 / 3)
+    assert lad.taus == (0.0, 0.1, 0.2, 0.3)
+    assert lad.step_densities == (1 / 3,) * 3
+    assert lad.type_a == (True,) * 3
+    edge = AdjacencyGraph.from_edges(3, [(1, 2)])
+    assert lad.anchors[1:] == (edge, edge, AdjacencyGraph.empty(3))
+    assert lad.final_density == 0.0
 
 
 def two_step_path():
