@@ -63,8 +63,6 @@ from .process import (
     exchangeability_check,
     jump_counts,
     load_path,
-    relabel_path,
-    restrict_path,
     save_path,
     simulate,
     simulate_edge_flip,

@@ -3,13 +3,16 @@
 Config files are plain text, one `key = value` per line, `#` comments.
 Values are parsed as JSON where possible (numbers, booleans, lists, strings
 in quotes) and fall back to the bare string, so `model = edge-flip` and
-`p_grid = [0.2, 0.1]` both work.
+`p_grid = [0.2, 0.1]` both work.  Each value must have its RunConfig field's
+type, where an integer also passes as a float.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass
 
 from .graphs import DataError
@@ -78,8 +81,22 @@ class RunConfig:
         return d
 
 
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 _TUPLE_KEYS = {"p_grid", "m_grid", "alphas"}
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a parsed config value has the field type `hint`; an int is a float."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_conforms(value, arm) for arm in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, tuple) and all(_conforms(v, item) for v in value)
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool):  # an int to isinstance, but only a bool field takes it
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -107,6 +124,11 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise DataError(f"{source}: line {lineno}: value is too long or too deep") from None
         if key in _TUPLE_KEYS and isinstance(parsed, list):
             parsed = tuple(parsed)
+        if not _conforms(parsed, _FIELD_TYPES[key]):
+            raise DataError(
+                f"{source}: line {lineno}: {key} must be of type "
+                f"{RunConfig.__annotations__[key]}, got {value!r}"
+            )
         out[key] = parsed
     return out
 

@@ -28,6 +28,21 @@ def num_pairs(n: int) -> int:
     return n * (n - 1) // 2
 
 
+# Largest C(n, 2) a graph or path may have (n <= 5,793).  Analysis builds
+# pair-sized and n x n arrays per graph state, so simulate, load_path and
+# read_edge_list refuse a larger vertex count before anything of that size
+# is allocated; n = 1024 has 523,776 pairs.
+MAX_VERTEX_PAIRS = 1 << 24
+
+
+def check_vertex_count(n: int) -> None:
+    """Refuse a vertex count whose C(n, 2) exceeds MAX_VERTEX_PAIRS."""
+    if num_pairs(n) > MAX_VERTEX_PAIRS:
+        raise ValueError(
+            f"n={n} has {num_pairs(n)} vertex pairs, over the limit of {MAX_VERTEX_PAIRS}"
+        )
+
+
 def pair_index(i: int, j: int, n: int) -> int:
     """Bit position of the unordered pair {i, j} (1-indexed, i < j) on n vertices."""
     if not (1 <= i < j <= n):
@@ -284,7 +299,11 @@ def read_edge_list(path) -> AdjacencyGraph:
                 raise DataError(f"{path}: line 1: vertex count must be an integer") from None
             if n < 1:
                 raise DataError(f"{path}: line 1: vertex count must be positive")
-            bits = 0
+            try:
+                check_vertex_count(n)
+            except ValueError as exc:
+                raise DataError(f"{path}: line 1: {exc}") from None
+            seen: set[int] = set()
             for lineno, line in enumerate(fh, start=2):
                 parts = line.split()
                 if not parts:
@@ -297,14 +316,16 @@ def read_edge_list(path) -> AdjacencyGraph:
                     raise DataError(f"{path}: line {lineno}: endpoints must be integers") from None
                 if not (1 <= i < j <= n):
                     raise DataError(f"{path}: line {lineno}: need 1 <= i < j <= {n}")
-                bit = 1 << pair_index(i, j, n)
-                if bits & bit:
+                k = pair_index(i, j, n)
+                if k in seen:
                     raise DataError(f"{path}: line {lineno}: duplicate edge {i} {j}")
-                bits |= bit
+                seen.add(k)
     except UnicodeDecodeError:
         lineno = first_non_ascii_line(path)
         raise DataError(f"{path}: line {lineno}: non-ASCII byte in edge list") from None
-    return AdjacencyGraph(n, bits)
+    vec = np.zeros(num_pairs(n), dtype=bool)
+    vec[list(seen)] = True
+    return AdjacencyGraph.from_pair_vector(n, vec)
 
 
 def first_non_ascii_line(file) -> int | None:

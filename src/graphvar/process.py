@@ -20,32 +20,16 @@ import numpy as np
 from scipy import stats
 
 from .graphs import (
+    MAX_VERTEX_PAIRS,
     AdjacencyGraph,
     DataError,
-    InjectiveMap,
-    apply_map,
+    check_vertex_count,
     first_non_ascii_line,
     num_pairs,
     pair_endpoints,
     pair_indices,
-    restrict,
     seed_list,
 )
-
-# Largest C(n, 2) a path may have (n <= 5,793).  Analysis builds pair-sized
-# and n x n arrays per graph state, so simulate and load_path refuse a larger
-# vertex count before anything of that size is allocated; n = 1024 has
-# 523,776 pairs.
-MAX_VERTEX_PAIRS = 1 << 24
-
-
-def check_vertex_count(n: int) -> None:
-    """Refuse a vertex count whose C(n, 2) exceeds MAX_VERTEX_PAIRS."""
-    if num_pairs(n) > MAX_VERTEX_PAIRS:
-        raise ValueError(
-            f"n={n} has {num_pairs(n)} vertex pairs, over the limit of {MAX_VERTEX_PAIRS}"
-        )
-
 
 @dataclass(frozen=True)
 class EdgeEvent:
@@ -316,8 +300,8 @@ def simulate_edge_flip(
         a, b = sorted(boost_edge)
         mult[pair_indices(np.array([a]), np.array([b]), n)[0]] = boost_factor
 
-    all_times = []
-    all_pairs = []
+    all_times = [np.zeros(0)]
+    all_pairs = [np.zeros(0, dtype=np.int64)]
     for t0, t1, r in rate.pieces(horizon):
         lam = r * (t1 - t0) * mult
         counts = rng.poisson(lam)
@@ -326,32 +310,23 @@ def simulate_edge_flip(
             continue
         all_pairs.append(np.repeat(np.arange(npairs), counts))
         all_times.append(rng.uniform(t0, t1, total))
-    if all_times:
-        times = np.concatenate(all_times)
-        pairs = np.concatenate(all_pairs)
-    else:
-        times = np.zeros(0)
-        pairs = np.zeros(0, dtype=np.int64)
+    times = np.concatenate(all_times)
+    pairs = np.concatenate(all_pairs)
     times = np.where(times <= 0.0, np.nextafter(0.0, 1.0), times)
 
-    # alternating values per edge, starting opposite the initial state
-    order = np.lexsort((times, pairs))
-    sp, st = pairs[order], times[order]
-    e = sp.shape[0]
-    starts = np.r_[0, np.flatnonzero(np.diff(sp)) + 1] if e else np.zeros(0, dtype=np.int64)
-    occ = (
-        np.arange(e) - np.repeat(starts, np.diff(np.r_[starts, e]))
-        if e
-        else np.zeros(0, dtype=np.int64)
-    )
-    vals_sorted = init_vec.astype(np.int8)[sp] ^ np.int8(1) ^ (occ % 2).astype(np.int8)
+    # event order is (time, i, j), and pair-index order is (i, j) order
+    final = np.lexsort((pairs, times))
+    times, pairs = times[final], pairs[final]
+    # alternating values per edge, starting opposite the initial state; by
+    # pair, then event order (unique keys, so the unstable sort is stable)
+    e = pairs.shape[0]
+    order = np.argsort(pairs * e + np.arange(e))
+    sp = pairs[order]
+    starts = np.r_[0, np.flatnonzero(np.diff(sp)) + 1]
+    occ = np.arange(e) - np.repeat(starts, np.diff(np.r_[starts, e]))
     values = np.empty(e, dtype=np.int8)
-    values[order] = vals_sorted
-
+    values[order] = init_vec.astype(np.int8)[sp] ^ np.int8(1) ^ (occ % 2).astype(np.int8)
     ii, jj = pair_endpoints(n)
-    edge_i = (ii[pairs] + 1).astype(np.int32)
-    edge_j = (jj[pairs] + 1).astype(np.int32)
-    final = np.lexsort((edge_j, edge_i, times))
 
     meta = {
         "model": "edge-flip-planted" if boost_edge is not None else "edge-flip",
@@ -369,10 +344,10 @@ def simulate_edge_flip(
         n=n,
         horizon=horizon,
         initial=AdjacencyGraph.from_pair_vector(n, init_vec),
-        times=times[final],
-        edge_i=edge_i[final],
-        edge_j=edge_j[final],
-        values=values[final],
+        times=times,
+        edge_i=(ii[pairs] + 1).astype(np.int32),
+        edge_j=(jj[pairs] + 1).astype(np.int32),
+        values=values,
         model_meta=meta,
     )
 
@@ -521,51 +496,6 @@ def jump_counts(path: EventLogPath) -> JumpCounts:
     """Events per unordered pair."""
     counts = np.bincount(path.pair_ids, minlength=num_pairs(path.n))
     return JumpCounts(path.n, counts)
-
-
-def relabel_path(path: EventLogPath, perm: Sequence[int]) -> EventLogPath:
-    """Apply one vertex relabeling to the whole path.
-
-    perm is 1-indexed with perm[k-1] = sigma(k); the relabeled path has edge
-    (k, l) tracking the original edge (sigma(k), sigma(l)).
-    """
-    sigma = np.asarray(perm, dtype=np.int64)
-    if sorted(sigma.tolist()) != list(range(1, path.n + 1)):
-        raise ValueError("perm must be a permutation of 1..n")
-    inv = np.empty(path.n, dtype=np.int64)
-    inv[sigma - 1] = np.arange(1, path.n + 1)
-    new_i = inv[path.edge_i - 1]
-    new_j = inv[path.edge_j - 1]
-    swap = new_i > new_j
-    new_i[swap], new_j[swap] = new_j[swap], new_i[swap]
-    order = np.lexsort((new_j, new_i, path.times))
-    return EventLogPath(
-        n=path.n,
-        horizon=path.horizon,
-        initial=apply_map(path.initial, InjectiveMap(tuple(int(v) for v in sigma))),
-        times=path.times[order],
-        edge_i=new_i[order].astype(np.int32),
-        edge_j=new_j[order].astype(np.int32),
-        values=path.values[order],
-        model_meta={**path.model_meta, "relabeled": True},
-    )
-
-
-def restrict_path(path: EventLogPath, m: int) -> EventLogPath:
-    """Path of the induced subgraph on vertices 1..m."""
-    if not (1 <= m <= path.n):
-        raise ValueError("window out of range")
-    keep = path.edge_j <= m
-    return EventLogPath(
-        n=m,
-        horizon=path.horizon,
-        initial=restrict(path.initial, m),
-        times=path.times[keep],
-        edge_i=path.edge_i[keep],
-        edge_j=path.edge_j[keep],
-        values=path.values[keep],
-        model_meta={**path.model_meta, "window": m},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -722,9 +652,18 @@ def _event_records(file, lines: list[str], n: int, horizon: float):
             continue
         rec = _parse_record(file, lineno, lines[lineno - 1], "ev")
         try:
-            t, i, j, v = float(rec["t"]), int(rec["i"]), int(rec["j"]), int(rec["v"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"{file}: line {lineno}: bad event record: {exc}") from exc
+            t, i, j, v = rec["t"], rec["i"], rec["j"], rec["v"]
+        except KeyError as exc:
+            raise DataError(f"{file}: line {lineno}: bad event record: {exc}") from None
+        # JSON integers only: int() would truncate 1.9 to 1 and read true as 1
+        if not all(type(x) is int for x in (i, j, v)):
+            raise DataError(f"{file}: line {lineno}: event fields i, j and v must be integers")
+        if type(t) not in (int, float):
+            raise DataError(f"{file}: line {lineno}: event time must be a number")
+        try:
+            t = float(t)
+        except OverflowError as exc:
+            raise DataError(f"{file}: line {lineno}: bad event record: {exc}") from None
         if not (1 <= i < j <= n):
             raise DataError(f"{file}: line {lineno}: need 1 <= i < j <= {n}")
         if v not in (0, 1):
@@ -754,15 +693,6 @@ class ExchangeabilityReport:
     ks_statistic: float
     p_value: float
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "window": self.window,
-            "seed_count": self.seed_count,
-            "ks_statistic": self.ks_statistic,
-            "p_value": self.p_value,
-        }
-
 
 def exchangeability_check(
     model: str,
@@ -775,30 +705,38 @@ def exchangeability_check(
 ) -> ExchangeabilityReport:
     """Two-sample KS test of the windowed jump count against relabeled paths.
 
-    The statistic is the number of events of the induced sub-path on the
-    first `window` vertices: a full-graph statistic is invariant under any
-    relabeling, so only a windowed one can distinguish a relabeled path.
-    For exchangeable generators both samples share one distribution and the
-    p-value is approximately uniform; a planted per-edge asymmetry shifts
-    the relabeled sample and drives the p-value to zero.
+    The statistic is the number of events on pairs inside the first `window`
+    vertices: a full-graph statistic is invariant under any relabeling, so
+    only a windowed one can distinguish a relabeled path.  Each sample is
+    counted straight from the event arrays: under a relabeling sigma vertex
+    v sits at position sigma^{-1}(v), so an event lies in the window of the
+    relabeled path iff both endpoints' positions do.  For exchangeable
+    generators both samples share one distribution and the p-value is
+    approximately uniform; a planted per-edge asymmetry shifts the relabeled
+    sample and drives the p-value to zero.
     """
     if seed_count < 20:
         raise ValueError("seed_count below 20 is underpowered; refusing to test")
     if not (1 <= window <= n):
         raise ValueError("window out of range")
 
+    def windowed_count(path: EventLogPath, position: np.ndarray) -> int:
+        """Events with both endpoints at 0-based positions below `window`."""
+        hi = np.maximum(position[path.edge_i - 1], position[path.edge_j - 1])
+        return int(np.count_nonzero(hi < window))
+
     base = seed_list(seed)
+    identity = np.arange(n)
     plain = np.empty(seed_count)
     for r in range(seed_count):
         path = simulate(model, n, horizon, base + [0, r], params)
-        plain[r] = restrict_path(path, window).event_count
+        plain[r] = windowed_count(path, identity)
 
     relabeled = np.empty(seed_count)
     for r in range(seed_count):
         path = simulate(model, n, horizon, base + [1, r], params)
-        rng = np.random.default_rng(base + [2, r])
-        perm = [int(v) + 1 for v in rng.permutation(n)]
-        relabeled[r] = restrict_path(relabel_path(path, perm), window).event_count
+        sigma = np.random.default_rng(base + [2, r]).permutation(n)
+        relabeled[r] = windowed_count(path, np.argsort(sigma))
 
     ks = stats.ks_2samp(plain, relabeled, method="asymp")
     return ExchangeabilityReport(

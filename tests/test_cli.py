@@ -308,6 +308,31 @@ def test_config_file_errors_exit_3_with_line(tmp_path, capsys):
         assert f"{cfg}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,key,kind", [
+    ("p_grid = abc", "p_grid", "tuple[float, ...]"),
+    ("vertices = 3.5", "vertices", "int"),
+    ('alphas = [2.5, "x"]', "alphas", "tuple[float, ...]"),
+    ('planted = "yes"', "planted", "bool"),
+    ("seed = true", "seed", "int"),
+    ("m_grid = [8, 4.0]", "m_grid", "tuple[int, ...] | None"),
+])
+def test_config_value_of_wrong_type_exits_3_with_line(tmp_path, capsys, line, key, kind):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# run\nrate = 2\n{line}\n")
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "p.jsonl")]) == 3
+    assert f"{cfg}: line 3: {key} must be of type {kind}, got " in capsys.readouterr().err
+    assert not (tmp_path / "p.jsonl").exists()
+
+
+def test_config_integer_passes_as_float(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rate = 2\nhorizon = 1\nm_grid = null\nvertices = 8\n")
+    out = tmp_path / "p.jsonl"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert load_path(out).model_meta["params"]["rate_values"] == [2]
+
+
 def test_densities_at_outside_horizon(tmp_path):
     src = simulate_small(tmp_path)
     assert main(["densities", "--path", str(src), "--at", "2.0"]) == 2
@@ -493,4 +518,47 @@ def test_parse_config_text_fuzz_raises_only_value_errors(text):
     try:
         parse_config_text(text)
     except ValueError:  # DataError included
+        pass
+
+
+# the JSON kinds each config key takes; an integer passes as a float
+CONFIG_KINDS = {
+    "model": "str", "weight_family": "str", "planted": "bool",
+    "vertices": "int", "seed": "int", "n_max": "int", "k_perm": "int", "k_inj": "int",
+    "exact_budget": "int",
+    "rate": "float", "init_density": "float", "horizon": "float", "boost_factor": "float",
+    "p_grid": "[float]", "alphas": "[float]", "m_grid": "[int] or null",
+}
+
+
+def well_typed(kind, value) -> bool:
+    if kind.endswith(" or null"):
+        return value is None or well_typed(kind[:-8], value)
+    if kind.startswith("["):
+        return isinstance(value, list) and all(well_typed(kind[1:-1], v) for v in value)
+    allowed = {"str": (str,), "bool": (bool,), "int": (int,), "float": (int, float)}[kind]
+    return type(value) in allowed
+
+
+def test_config_kinds_cover_every_key():
+    assert set(CONFIG_KINDS) == set(RunConfig().to_dict())
+
+
+@given(st.lists(st.tuples(st.sampled_from(sorted(CONFIG_KINDS)), JSON_VALUES), min_size=1,
+                max_size=4))
+@example([("vertices", 3.5)])
+@example([("planted", "yes")])
+@example([("p_grid", [0.2, True])])
+@settings(max_examples=300, deadline=None)
+def test_config_values_of_wrong_type_raise_data_error(items):
+    text = "\n".join(f"{key} = {json.dumps(value)}" for key, value in items)
+    bad = next((k for k, (key, value) in enumerate(items, start=1)
+                if not well_typed(CONFIG_KINDS[key], value)), None)
+    if bad is not None:
+        with pytest.raises(DataError, match=f"line {bad}: {items[bad - 1][0]} must be of type"):
+            parse_config_text(text)
+        return
+    try:  # well-typed values may still be out of range, but never a TypeError
+        RunConfig(**parse_config_text(text))
+    except ValueError:
         pass

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphvar.graphs import (
+    MAX_VERTEX_PAIRS,
     AdjacencyGraph,
+    DataError,
     InjectiveMap,
     apply_map,
     density_quantum,
@@ -218,6 +220,47 @@ def test_edge_list_errors(tmp_path):
     f.write_text("n 5\n1 2 3\n")
     with pytest.raises(ValueError, match="line 2"):
         read_edge_list(f)
+
+
+def test_edge_list_refuses_oversized_vertex_count(tmp_path):
+    # refused at the header, before any pair-sized array or bitset exists
+    f = tmp_path / "big.txt"
+    f.write_text("n 100000000\n99999999 100000000\n")
+    with pytest.raises(DataError, match=f"line 1: n=100000000 has 4999999950000000 vertex "
+                                        f"pairs, over the limit of {MAX_VERTEX_PAIRS}"):
+        read_edge_list(f)
+    f.write_text("n 5793\n5792 5793\n1 2\n")
+    g = read_edge_list(f)
+    assert g.edge_count == 2 and g.has_edge(5793, 5792) and g.has_edge(1, 2)
+
+
+@st.composite
+def fuzzed_edge_lists(draw) -> bytes:
+    """An edge-list file with a header that may be off and lines that may be noise."""
+    n = draw(st.integers(-2, 12) | st.integers(2, 10**12))
+    header = draw(st.sampled_from([f"n {n}", f"n {n} x", f"m {n}", "n", f"n {n}.5"]))
+    pair = st.tuples(st.integers(-1, 14), st.integers(-1, 14)).map(lambda ij: f"{ij[0]} {ij[1]}")
+    noise = st.text(st.characters(max_codepoint=127), max_size=12)
+    body = draw(st.lists(pair | noise, max_size=8))
+    data = "\n".join([header] + body).encode("ascii")
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + draw(st.binary(min_size=1, max_size=3)) + data[k:]
+    return data
+
+
+@given(fuzzed_edge_lists())
+@example(b"n 3\n1 2\n\xff\n")
+@example(b"n 99999999999\n1 2\n")
+@example(b"n " + b"9" * 5000 + b"\n")
+@settings(max_examples=300, deadline=None)
+def test_read_edge_list_fuzz_raises_only_data_error(tmp_path_factory, data):
+    f = tmp_path_factory.getbasetemp() / "fuzz-edges.txt"
+    f.write_bytes(data)
+    try:
+        read_edge_list(f)
+    except DataError:
+        pass
 
 
 def test_density_quantum():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from graphvar.graphs import (
     AdjacencyGraph,
@@ -12,8 +13,10 @@ from graphvar.graphs import (
     InjectiveMap,
     apply_map,
     num_pairs,
+    pair_endpoints,
     pair_index,
     restrict,
+    seed_list,
 )
 from graphvar.process import (
     MAX_VERTEX_PAIRS,
@@ -25,8 +28,6 @@ from graphvar.process import (
     exchangeability_check,
     jump_counts,
     load_path,
-    relabel_path,
-    restrict_path,
     save_path,
     simulate,
     simulate_edge_flip,
@@ -192,6 +193,126 @@ def test_event_index_is_cached_read_only_and_outside_eq():
     assert all(idx.next_same[k] == path.event_count for k in last.values())
 
 
+def oracle_edge_flip(n, rate, init_density=0.5, horizon=1.0, seed=0,
+                     boost_edge=None, boost_factor=1.0):
+    """The edge-flip simulator with two lexsorts: one by (pair, time) for the
+    alternating values, one by (time, i, j) for the event order."""
+    if not isinstance(rate, PiecewiseRate):
+        rate = PiecewiseRate.constant(rate)
+    rng = np.random.default_rng(seed)
+    npairs = num_pairs(n)
+    init_vec = rng.random(npairs) < init_density
+    mult = np.ones(npairs)
+    if boost_edge is not None:
+        mult[pair_index(*sorted(boost_edge), n)] = boost_factor
+    all_times, all_pairs = [], []
+    for t0, t1, r in rate.pieces(horizon):
+        counts = rng.poisson(r * (t1 - t0) * mult)
+        total = int(counts.sum())
+        if total == 0:
+            continue
+        all_pairs.append(np.repeat(np.arange(npairs), counts))
+        all_times.append(rng.uniform(t0, t1, total))
+    if all_times:
+        times, pairs = np.concatenate(all_times), np.concatenate(all_pairs)
+    else:
+        times, pairs = np.zeros(0), np.zeros(0, dtype=np.int64)
+    times = np.where(times <= 0.0, np.nextafter(0.0, 1.0), times)
+
+    order = np.lexsort((times, pairs))
+    sp = pairs[order]
+    e = sp.shape[0]
+    starts = np.r_[0, np.flatnonzero(np.diff(sp)) + 1] if e else np.zeros(0, dtype=np.int64)
+    occ = (
+        np.arange(e) - np.repeat(starts, np.diff(np.r_[starts, e]))
+        if e
+        else np.zeros(0, dtype=np.int64)
+    )
+    values = np.empty(e, dtype=np.int8)
+    values[order] = init_vec.astype(np.int8)[sp] ^ np.int8(1) ^ (occ % 2).astype(np.int8)
+    ii, jj = pair_endpoints(n)
+    edge_i = (ii[pairs] + 1).astype(np.int32)
+    edge_j = (jj[pairs] + 1).astype(np.int32)
+    final = np.lexsort((edge_j, edge_i, times))
+
+    meta = {
+        "model": "edge-flip-planted" if boost_edge is not None else "edge-flip",
+        "params": {
+            "rate_breaks": list(rate.breaks),
+            "rate_values": list(rate.rates),
+            "init_density": init_density,
+        },
+        "seed": seed,
+    }
+    if boost_edge is not None:
+        meta["params"]["boost_edge"] = sorted(boost_edge)
+        meta["params"]["boost_factor"] = boost_factor
+    return EventLogPath(n, horizon, AdjacencyGraph.from_pair_vector(n, init_vec),
+                        times[final], edge_i[final], edge_j[final], values[final], meta)
+
+
+def assert_same_path(path, want):
+    assert path == want  # n, horizon, initial, the four arrays and the meta
+    for name in ("times", "edge_i", "edge_j", "values"):
+        assert getattr(path, name).dtype == getattr(want, name).dtype, name
+
+
+RATES = st.floats(0.0, 6.0) | st.builds(
+    lambda a, b: PiecewiseRate((0.0, 0.4), (a, b)), st.floats(0.0, 6.0), st.floats(0.0, 6.0)
+)
+
+
+@given(data=st.data(), planted=st.booleans(), n=st.integers(2, 24), rate=RATES,
+       init_density=st.floats(0.0, 1.0), horizon=st.sampled_from([0.3, 1.0, 2.5]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_simulate_matches_two_lexsort_oracle(data, planted, n, rate, init_density,
+                                             horizon, seed):
+    params = {"rate": rate, "init_density": init_density}
+    kwargs = {}
+    if planted:
+        a = data.draw(st.integers(1, n))
+        b = data.draw(st.integers(1, n).filter(lambda v: v != a))
+        params.update(boost_edge=(a, b), boost_factor=data.draw(st.floats(0.0, 30.0)))
+        kwargs = {"boost_edge": (a, b), "boost_factor": params["boost_factor"]}
+    model = "edge-flip-planted" if planted else "edge-flip"
+    path = simulate(model, n, horizon, seed, params)
+    assert_same_path(path, oracle_edge_flip(n, rate, init_density, horizon, seed, **kwargs))
+    path.validate()
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 64])
+def test_simulate_matches_oracle_on_fixed_seeds_and_empty_paths(n):
+    for seed in range(5):
+        assert_same_path(simulate_edge_flip(n, 3.0, seed=seed), oracle_edge_flip(n, 3.0, seed=seed))
+    empty = simulate_edge_flip(n, 0.0, init_density=0.3, seed=9)
+    assert empty.event_count == 0
+    assert_same_path(empty, oracle_edge_flip(n, 0.0, init_density=0.3, seed=9))
+
+
+_default_rng = np.random.default_rng
+
+
+class CoarseClock:
+    """A generator whose uniform draws land on a grid of eighths, so event times tie."""
+
+    def __init__(self, seed):
+        self.rng = _default_rng(seed)
+        self.random, self.poisson = self.rng.random, self.rng.poisson
+
+    def uniform(self, lo, hi, size):
+        return lo + (hi - lo) * np.ceil(8 * self.rng.random(size)) / 8
+
+
+def test_simulate_matches_oracle_when_times_tie(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", CoarseClock)
+    for seed in range(5):
+        path = simulate_edge_flip(7, 3.0, seed=seed, boost_edge=(2, 5), boost_factor=4.0)
+        assert len(np.unique(path.times)) < path.event_count
+        assert_same_path(path, oracle_edge_flip(7, 3.0, seed=seed, boost_edge=(2, 5),
+                                                boost_factor=4.0))
+
+
 # ---------------------------------------------------------------------------
 # structural validation
 
@@ -308,48 +429,6 @@ def test_simulate_refuses_oversized_vertex_count(model):
     with pytest.raises(ValueError, match=rf"^n=5794 has 16782321 vertex pairs, "
                                          rf"over the limit of {MAX_VERTEX_PAIRS}$"):
         simulate(model, 5794, 1.0, 0, {})
-
-
-# ---------------------------------------------------------------------------
-# relabeling and windows
-
-
-def test_relabel_path_tracks_all_snapshots():
-    path = simulate_edge_flip(10, 2.0, seed=20)
-    perm = [3, 1, 4, 2, 10, 9, 5, 6, 8, 7]
-    moved = relabel_path(path, perm)
-    moved.validate()
-    phi = InjectiveMap(tuple(perm))
-    for t in (0.0, 0.33, 0.8, 1.0):
-        assert snapshot(moved, t) == apply_map(snapshot(path, t), phi)
-    # the identity relabeling changes nothing but the bookkeeping flag
-    same = relabel_path(path, list(range(1, 11)))
-    assert same.initial == path.initial
-    assert np.array_equal(same.times, path.times)
-    assert np.array_equal(same.edge_i, path.edge_i)
-    assert np.array_equal(same.edge_j, path.edge_j)
-    assert same.model_meta["relabeled"] is True
-    with pytest.raises(ValueError):
-        relabel_path(path, [1, 1, 3, 4, 5, 6, 7, 8, 9, 10])
-
-
-def test_relabel_preserves_jump_multiset():
-    path = simulate_edge_flip(10, 2.0, seed=21)
-    moved = relabel_path(path, [10, 9, 8, 7, 6, 5, 4, 3, 2, 1])
-    assert sorted(jump_counts(path).counts) == sorted(jump_counts(moved).counts)
-    assert moved.event_count == path.event_count
-
-
-def test_restrict_path_commutes_with_snapshot():
-    path = simulate_edge_flip(12, 2.0, seed=22)
-    sub = restrict_path(path, 5)
-    sub.validate()
-    assert sub.n == 5
-    assert int(sub.edge_j.max(initial=0)) <= 5
-    for t in (0.0, 0.4, 1.0):
-        assert snapshot(sub, t) == restrict(snapshot(path, t), 5)
-    with pytest.raises(ValueError):
-        restrict_path(path, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +618,18 @@ MALFORMED = {
                    "line 4: expected 'ev' record"),
     "missing key": ('{"i": 1, "j": 4, "t": 0.5, "type": "ev"}',
                     "line 4: bad event record: 'v'"),
+    "float endpoints": ('{"i": 1.9, "j": 3.7, "t": 0.5, "type": "ev", "v": 1}',
+                        "line 4: event fields i, j and v must be integers"),
+    "float value": ('{"i": 1, "j": 4, "t": 0.5, "type": "ev", "v": 1.2}',
+                    "line 4: event fields i, j and v must be integers"),
+    "boolean value": ('{"i": 1, "j": 4, "t": 0.5, "type": "ev", "v": true}',
+                      "line 4: event fields i, j and v must be integers"),
+    "string endpoint": ('{"i": "1", "j": 4, "t": 0.5, "type": "ev", "v": 1}',
+                        "line 4: event fields i, j and v must be integers"),
+    "string time": ('{"i": 1, "j": 4, "t": "0.5", "type": "ev", "v": 1}',
+                    "line 4: event time must be a number"),
+    "boolean time": ('{"i": 1, "j": 4, "t": true, "type": "ev", "v": 1}',
+                     "line 4: event time must be a number"),
     "not a jump": ('{"i": 1, "j": 3, "t": 0.5, "type": "ev", "v": 1}',
                    "invalid event log: event 1 on edge (1, 3) is not a genuine jump"),
     "unsorted": ('{"i": 1, "j": 4, "t": 0.125, "type": "ev", "v": 1}',
@@ -668,3 +759,57 @@ def test_planted_model_fails_ks():
         window=8,
     )
     assert rep.p_value < 0.01
+
+
+def oracle_relabel_path(path, perm):
+    """The whole relabeled path: edge (k, l) tracks the original (perm[k-1], perm[l-1])."""
+    sigma = np.asarray(perm, dtype=np.int64)
+    inv = np.empty(path.n, dtype=np.int64)
+    inv[sigma - 1] = np.arange(1, path.n + 1)
+    new_i, new_j = inv[path.edge_i - 1], inv[path.edge_j - 1]
+    swap = new_i > new_j
+    new_i[swap], new_j[swap] = new_j[swap], new_i[swap]
+    order = np.lexsort((new_j, new_i, path.times))
+    return EventLogPath(path.n, path.horizon, apply_map(path.initial, InjectiveMap(tuple(perm))),
+                        path.times[order], new_i[order].astype(np.int32),
+                        new_j[order].astype(np.int32), path.values[order], path.model_meta)
+
+
+def oracle_restrict_path(path, m):
+    """The induced sub-path on vertices 1..m."""
+    keep = path.edge_j <= m
+    return EventLogPath(m, path.horizon, restrict(path.initial, m), path.times[keep],
+                        path.edge_i[keep], path.edge_j[keep], path.values[keep],
+                        path.model_meta)
+
+
+def oracle_exchangeability(model, params, n, seed_count, seed, window):
+    """(KS statistic, p-value) from rebuilt relabeled and restricted paths."""
+    base = seed_list(seed)
+    plain, relabeled = np.empty(seed_count), np.empty(seed_count)
+    for r in range(seed_count):
+        path = simulate(model, n, 1.0, base + [0, r], params)
+        plain[r] = oracle_restrict_path(path, window).event_count
+    for r in range(seed_count):
+        path = simulate(model, n, 1.0, base + [1, r], params)
+        perm = [int(v) + 1 for v in np.random.default_rng(base + [2, r]).permutation(n)]
+        moved = oracle_restrict_path(oracle_relabel_path(path, perm), window)
+        moved.validate()
+        relabeled[r] = moved.event_count
+    ks = stats.ks_2samp(plain, relabeled, method="asymp")
+    return float(ks.statistic), float(ks.pvalue)
+
+
+@pytest.mark.parametrize("model,params,n,window", [
+    ("edge-flip", {"rate": 2.0}, 16, 6),
+    ("edge-flip", {"rate": 0.5}, 9, 9),
+    ("edge-flip-planted", {"rate": 1.0, "boost_edge": (1, 2), "boost_factor": 40.0}, 16, 8),
+    ("edge-flip-planted", {"rate": 1.0, "boost_edge": (3, 5), "boost_factor": 20.0}, 12, 2),
+    ("graphon-jump", {"grids": [[[0.3, 0.6], [0.6, 0.2]]], "global_rate": 3.0}, 12, 5),
+])
+@pytest.mark.parametrize("seed", [0, [7, 1]])
+def test_exchangeability_check_matches_rebuilt_paths(model, params, n, window, seed):
+    rep = exchangeability_check(model, params, n, seed_count=20, seed=seed, window=window)
+    assert (rep.ks_statistic, rep.p_value) == oracle_exchangeability(
+        model, params, n, 20, seed, window
+    )

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphvar.graphs import AdjacencyGraph, num_pairs, density_quantum
+from graphvar.graphs import AdjacencyGraph, InjectiveMap, apply_map, num_pairs, density_quantum
 from graphvar.metrics import partial_zeta
 from graphvar.process import (
     EdgeEvent,
     EventLogPath,
     StepGraphon,
-    relabel_path,
     simulate_edge_flip,
     simulate_graphon_jump,
 )
@@ -213,11 +212,22 @@ def test_ladder_threshold_validation():
         stopping_ladder(path, 0.1)  # quantum at n=4 is 1/6
 
 
+def relabeled(path, perm):
+    """The path whose edge (k, l) tracks the original (perm[k-1], perm[l-1])."""
+    position = {v: k for k, v in enumerate(perm, start=1)}
+    events = [EdgeEvent(ev.time, *sorted((position[ev.i], position[ev.j])), ev.new_value)
+              for ev in path.events()]
+    initial = apply_map(path.initial, InjectiveMap(tuple(perm)))
+    return EventLogPath.from_events(path.n, path.horizon, initial, events)
+
+
 def test_ladder_relabel_invariant():
     path = simulate_edge_flip(20, 2.0, seed=33)
     rng = np.random.default_rng(34)
     perm = (rng.permutation(20) + 1).tolist()
-    moved = relabel_path(path, perm)
+    moved = relabeled(path, perm)
+    assert moved.event_count == path.event_count
+    assert not np.array_equal(moved.edge_i, path.edge_i)
     for p in (0.05, 0.15):
         a, b = stopping_ladder(path, p), stopping_ladder(moved, p)
         assert a.taus == b.taus
