@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     den.add_argument("--n-max", type=int, default=None, dest="n_max")
     den.add_argument("--mode", default="auto", choices=["auto", "exact", "mc"])
     den.add_argument("--k-inj", type=int, default=None, dest="k_inj")
-    den.add_argument("--budget", type=int, default=None)
+    den.add_argument("--budget", type=int, default=None, dest="exact_budget")
 
     ver = sub.add_parser("verify", help="run the self-check suite")
     add_config_flags(ver)
@@ -160,8 +160,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_densities(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ("seed", "n_max", "k_inj"))
-    budget = args.budget if args.budget is not None else cfg.exact_budget
+    cfg = _resolve(args, ("seed", "n_max", "k_inj", "exact_budget"))
     if args.graph:
         host = read_edge_list(args.graph)
     else:
@@ -169,7 +168,7 @@ def cmd_densities(args: argparse.Namespace) -> int:
         at = path.horizon if args.at is None else args.at
         host = snapshot(path, at)
     vec = limit_vector(host, cfg.n_max, mode=args.mode,
-                       n_samples=cfg.k_inj, budget=budget, seed=cfg.seed)
+                       n_samples=cfg.k_inj, budget=cfg.exact_budget, seed=cfg.seed)
     if args.out:
         save_density_vector(vec, args.out)
         print(f"wrote {args.out} (n_max {vec.n_max}, "

@@ -3,14 +3,16 @@
 Config files are plain text, one `key = value` per line, `#` comments.
 Values are parsed as JSON where possible (numbers, booleans, lists, strings
 in quotes) and fall back to the bare string, so `model = edge-flip` and
-`p_grid = [0.2, 0.1]` both work.  Each value must have its RunConfig field's
-type, where an integer also passes as a float.
+`p_grid = [0.2, 0.1]` both work; a `#` inside a JSON value starts no
+comment.  Each value must have its RunConfig field's type, where an integer
+also passes as a float, and numbers must be finite.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass
@@ -44,6 +46,9 @@ class RunConfig:
         if self.vertices < 2:
             raise ValueError("vertices must be at least 2")
         check_vertex_count(self.vertices)
+        for name in ("rate", "horizon", "boost_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.rate < 0:
             raise ValueError("rate must be nonnegative")
         if not (0.0 <= self.init_density <= 1.0):
@@ -54,8 +59,8 @@ class RunConfig:
             raise ValueError("p_grid values must lie strictly between 0 and 1")
         if self.m_grid is not None and any(m < 2 for m in self.m_grid):
             raise ValueError("m_grid windows must be at least 2")
-        if any(a <= 0 for a in self.alphas):
-            raise ValueError("alphas must be positive")
+        if any(not 0 < a < math.inf for a in self.alphas):
+            raise ValueError("alphas must be positive and finite")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
         if self.k_perm < 2 or self.k_inj < 1:
@@ -83,6 +88,7 @@ class RunConfig:
 
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
 _TUPLE_KEYS = {"p_grid", "m_grid", "alphas"}
+_JSON = json.JSONDecoder()
 
 
 def _conforms(value, hint) -> bool:
@@ -108,18 +114,20 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             continue
         if "=" not in line:
             raise DataError(f"{source}: line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key = line.partition("=")[0].strip()
+        value = raw.partition("=")[2].strip()
         if key not in _FIELD_TYPES:
             raise DataError(
                 f"{source}: line {lineno}: unknown key {key!r}; "
                 f"known keys: {', '.join(sorted(_FIELD_TYPES))}"
             )
-        try:
-            parsed = json.loads(value)
+        try:  # a '#' inside a JSON value, as in ["#"], starts no comment
+            parsed, end = _JSON.raw_decode(value)
+            if value[end:].strip()[:1] not in ("", "#"):
+                raise json.JSONDecodeError("extra data", value, end)
+            value = value[:end]
         except json.JSONDecodeError:
-            parsed = value  # bare string, e.g. model = edge-flip
+            parsed = value = value.split("#", 1)[0].strip()  # bare string, e.g. model = edge-flip
         except (ValueError, RecursionError):  # over 4300 digits, or nested too deeply
             raise DataError(f"{source}: line {lineno}: value is too long or too deep") from None
         if key in _TUPLE_KEYS and isinstance(parsed, list):
@@ -129,6 +137,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
                 f"{source}: line {lineno}: {key} must be of type "
                 f"{RunConfig.__annotations__[key]}, got {value!r}"
             )
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (parsed if isinstance(parsed, tuple) else (parsed,))):
+            raise DataError(f"{source}: line {lineno}: {key} must be finite, got {value!r}")
         out[key] = parsed
     return out
 

@@ -42,24 +42,68 @@ def _require_level(k: int, m: int) -> None:
         )
 
 
-def _exact_level_counts(host: AdjacencyGraph, k: int, budget: int) -> tuple[np.ndarray, int]:
-    """Counts of injective ordered k-tuples per pattern bitmask, plus m^(k falling).
+def _exact_cost(m: int, k: int) -> int:
+    """Work of the exact count at level k on m vertices, in its kernel's units: none at
+    levels 1-2 (m and the edge count), 64-bit words of packed-row ANDs for level 3's
+    triangles, injective tuples m^(k falling) for the walker above."""
+    if k <= 3:
+        return num_pairs(m) * -(-m // 64) if k == 3 else 0
+    return math.perm(m, k)
 
-    Exhaustive: the outer loop walks ordered (k-2)-prefixes and the two tail
-    coordinates are vectorized as an m x m grid.  Refuses when the tuple
-    count m^(k falling) exceeds the budget.
-    """
+
+def _exact_counts(host: AdjacencyGraph, k: int, budget: int) -> tuple[np.ndarray, int]:
+    """Counts of injective ordered k-tuples per pattern bitmask, plus m^(k falling)."""
     m = host.n
     _require_level(k, m)
-    denom = math.perm(m, k)
-    if denom > budget:
+    if (cost := _exact_cost(m, k)) > budget:
         raise ValueError(
-            f"exact count needs {denom} tuples at level {k} on {m} vertices, "
-            f"over the budget of {budget}; use density_mc instead"
+            f"exact count needs {cost} {'word ANDs' if k <= 3 else 'tuples'} "
+            f"at level {k} on {m} vertices, over the budget of {budget}; use density_mc instead"
         )
-    if k == 1:
-        return np.array([denom], dtype=np.int64), denom
+    counts = _closed_form_counts(host, k) if k <= 3 else _exact_level_counts(host, k)
+    return counts, math.perm(m, k)
 
+
+_GATHER_BYTES = 1 << 21  # packed row bytes per gather; the unpacked bits take 8x that
+
+
+def _triangle_count(adj: np.ndarray) -> int:
+    """Triangles of a dense boolean adjacency matrix: common neighbours summed over
+    edges i < j, over 3.  Each edge ANDs its endpoints' bit-packed rows; edges are
+    gathered a block of upper-triangle rows at a time to bound the temporaries."""
+    m = adj.shape[0]
+    rows = np.packbits(adj, axis=1)
+    step, total = max(1, _GATHER_BYTES // (m * rows.shape[1])), 0
+    for r0 in range(0, m, step):
+        i, j = np.nonzero(np.triu(adj[r0 : r0 + step], r0 + 1))
+        total += np.count_nonzero(np.unpackbits(rows[i + r0] & rows[j]))
+    return total // 3
+
+
+def _closed_form_counts(host: AdjacencyGraph, k: int) -> np.ndarray:
+    """Exact counts at levels 1-3.  A labeled 3-pattern's count depends only on its
+    edge count: a host triple with 0, 1, 2 or 3 edges has 6 orderings, spread over
+    1, 3, 3 or 1 labeled patterns."""
+    m, e = host.n, host.edge_count
+    if k < 3:
+        return np.array([m] if k == 1 else [m * (m - 1) - 2 * e, 2 * e], dtype=np.int64)
+    adj = host.to_matrix()
+    deg = adj.sum(axis=1, dtype=np.int64)
+    t = _triangle_count(adj)
+    n2 = int((deg * (deg - 1) // 2).sum()) - 3 * t  # triples holding exactly two edges
+    n1 = e * (m - 2) - 2 * n2 - 3 * t  # ... and exactly one
+    n0 = math.comb(m, 3) - n1 - n2 - t
+    by_edges = np.array([6 * n0, 2 * n1, 2 * n2, 6 * t], dtype=np.int64)
+    return by_edges[[0, 1, 1, 2, 1, 2, 2, 3]]  # edges in each 3-bit pattern
+
+
+def _exact_level_counts(host: AdjacencyGraph, k: int) -> np.ndarray:
+    """Tuple-walker counts per pattern bitmask at levels 4-6 (any level >= 2).
+
+    Exhaustive: the outer loop walks ordered (k-2)-prefixes and the two tail
+    coordinates are vectorized as an m x m grid.
+    """
+    m = host.n
     a = host.to_matrix().astype(np.int64)
     n_slots = 1 << num_pairs(k)
     counts = np.zeros(n_slots, dtype=np.int64)
@@ -87,7 +131,7 @@ def _exact_level_counts(host: AdjacencyGraph, k: int, budget: int) -> tuple[np.n
             valid[v, :] = False
             valid[:, v] = False
         counts += np.bincount(codes[valid], minlength=n_slots)
-    return counts, denom
+    return counts
 
 
 def _mc_codes(adj: np.ndarray, k: int, n_samples: int, seed) -> np.ndarray:
@@ -129,7 +173,7 @@ def density_exact(
     budget: int = DEFAULT_EXACT_BUDGET,
 ) -> Fraction:
     """Exact pattern density as a rational number."""
-    counts, denom = _exact_level_counts(host, pattern.n, budget)
+    counts, denom = _exact_counts(host, pattern.n, budget)
     return Fraction(int(counts[pattern.bits]), denom)
 
 
@@ -240,9 +284,9 @@ def limit_vector(
 ) -> DensityVector:
     """Density vector of all patterns up to n_max.
 
-    mode "exact" insists on exhaustive counts (and raises over budget),
-    "mc" always samples, "auto" counts exhaustively exactly when the tuple
-    count fits the budget.
+    mode "exact" insists on exact counts (and raises over budget), "mc"
+    always samples, "auto" counts a level exactly when its kernel's cost
+    (_exact_cost) fits the budget.
     """
     if not (1 <= n_max <= LEVEL_HARD_CAP):
         raise ValueError(f"n_max must lie in [1, {LEVEL_HARD_CAP}]")
@@ -251,9 +295,8 @@ def limit_vector(
     levels = []
     adj = None  # dense adjacency, built once for all sampled levels
     for k in range(1, n_max + 1):
-        exact = mode == "exact" or (mode == "auto" and math.perm(host.n, k) <= budget)
-        if exact:
-            counts, denom = _exact_level_counts(host, k, budget)
+        if mode == "exact" or (mode == "auto" and _exact_cost(host.n, k) <= budget):
+            counts, denom = _exact_counts(host, k, budget)
             levels.append(
                 DensityLevel(
                     n=k,
@@ -505,8 +548,8 @@ def total_variation_check(
     ladder = stopping_ladder(path, p)
     snapshots = list(ladder.anchors) + [ladder.final]
     vectors = [
-        limit_vector(g, n_max, mode=_resolve_mode(mode, g.n, n_max, budget),
-                     n_samples=n_samples, budget=budget, seed=seed_list(seed) + [idx])
+        limit_vector(g, n_max, mode=mode, n_samples=n_samples, budget=budget,
+                     seed=seed_list(seed) + [idx])
         for idx, g in enumerate(snapshots)
     ]
     steps = []
@@ -530,12 +573,6 @@ def total_variation_check(
         type_a_count=ladder.type_a_count,
         per_segment=tuple(steps),
     )
-
-
-def _resolve_mode(mode: str, m: int, n_max: int, budget: int) -> str:
-    if mode == "auto":
-        return "exact" if math.perm(m, n_max) <= budget else "mc"
-    return mode
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import os
 import tempfile
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,17 +63,7 @@ class CheckResult:
         return self.status in ("pass", "pass-with-slack")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statement": self.statement,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "stderr_budget": self.stderr_budget,
-            "runtime_s": self.runtime_s,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -114,12 +104,7 @@ def _finish(
     stderr_budget: float | None = None,
     details: dict | None = None,
 ) -> CheckResult:
-    if not ok:
-        status = "fail"
-    elif needed_slack:
-        status = "pass-with-slack"
-    else:
-        status = "pass"
+    status = "fail" if not ok else "pass-with-slack" if needed_slack else "pass"
     slack = None
     if lhs is not None and rhs is not None:
         lhs += 0.0  # normalize -0.0
@@ -529,17 +514,8 @@ CHECKS = {
 
 
 def _not_run(name: str, statement: str, status: str, started: float, details: dict) -> CheckResult:
-    return CheckResult(
-        name=name,
-        statement=statement,
-        status=status,
-        lhs=None,
-        rhs=None,
-        slack=None,
-        stderr_budget=None,
-        runtime_s=round(time.perf_counter() - started, 3),
-        details=details,
-    )
+    return CheckResult(name, statement, status, lhs=None, rhs=None, slack=None, stderr_budget=None,
+                       runtime_s=round(time.perf_counter() - started, 3), details=details)
 
 
 def run_verification(

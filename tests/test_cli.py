@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -51,6 +52,10 @@ def test_runconfig_defaults_and_windows():
         {"k_perm": 1},
         {"exact_budget": 0},
         {"k_inj": 0},
+        {"alphas": (math.nan,)},
+        {"rate": math.nan},
+        {"horizon": math.inf},
+        {"boost_factor": -math.inf},
     ],
 )
 def test_runconfig_validation(kwargs):
@@ -72,6 +77,8 @@ def test_parse_config_text():
     assert out["vertices"] == 32
     assert out["p_grid"] == (0.2, 0.1)
     assert out["planted"] is True
+    out = parse_config_text('weight_family = "a#b"  # c\nalphas = [2.5] # [3]\n')
+    assert out == {"weight_family": "a#b", "alphas": (2.5,)}
 
 
 def test_runconfig_vertex_cap():
@@ -253,6 +260,36 @@ def test_densities_from_edge_list(tmp_path, capsys):
     assert [lv["mode"] for lv in data["levels"]] == ["exact"] * 3
 
 
+def test_densities_exact_level3_at_analyze_size(tmp_path, capsys):
+    f = tmp_path / "g256.txt"
+    write_edge_list(er_sample(256, 0.5, 11), f)
+    args = ["densities", "--graph", str(f), "--mode", "exact", "--n-max", "3"]
+    assert main(args) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [lv["mode"] for lv in data["levels"]] == ["exact"] * 3
+    assert main([*args, "--budget", "130560"]) == 0  # C(256, 2) * ceil(256 / 64)
+    capsys.readouterr()
+    assert main([*args, "--budget", "130559"]) == 2
+    err = capsys.readouterr().err
+    assert "usage error: exact count needs 130560 word ANDs at level 3" in err
+    assert "use density_mc instead" in err
+    assert main([*args, "--budget", "0"]) == 2
+    assert "usage error: exact_budget must be positive" in capsys.readouterr().err
+
+
+def test_analyze_tv_rows_exact_at_n256(tmp_path, capsys):
+    src = tmp_path / "p256.jsonl"
+    assert main(["simulate", "--out", str(src), "--vertices", "256", "--rate", "0.05",
+                 "--seed", "2"]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--path", str(src), "--skip-variation", "--p-grid", "0.2,0.1"]) == 0
+    tv = capsys.readouterr().out.split("# tv\n")[1].splitlines()
+    assert tv[0] == "p,n_p,tv,bound,margin,mode"
+    rows = [r.split(",") for r in tv[1:]]
+    assert len(rows) == 2
+    assert all(r[5] == "exact" and float(r[4]) >= 0.0 for r in rows)
+
+
 def test_densities_to_file_and_snapshot(tmp_path, capsys):
     src = simulate_small(tmp_path)
     out = tmp_path / "vec.json"
@@ -331,6 +368,29 @@ def test_config_integer_passes_as_float(tmp_path):
     out = tmp_path / "p.jsonl"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert load_path(out).model_meta["params"]["rate_values"] == [2]
+
+
+@pytest.mark.parametrize("line", ["rate = NaN", "horizon = Infinity",
+                                  "boost_factor = -Infinity", "p_grid = [0.2, NaN]",
+                                  "rate = 1e999"])
+def test_config_non_finite_value_exits_3_with_line(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# run\nvertices = 8\n{line}\n")
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "p.jsonl")]) == 3
+    key = line.split()[0]
+    assert f"{cfg}: line 3: {key} must be finite, got " in capsys.readouterr().err
+    assert not (tmp_path / "p.jsonl").exists()
+
+
+@pytest.mark.parametrize("flag,field", [("--rate", "rate"), ("--horizon", "horizon"),
+                                        ("--boost-factor", "boost_factor")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_non_finite_flag_exits_2(tmp_path, capsys, flag, field, value):
+    out = tmp_path / "p.jsonl"
+    assert main(["simulate", "--out", str(out), "--vertices", "8", "--planted", flag, value]) == 2
+    assert f"usage error: {field} must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_densities_at_outside_horizon(tmp_path):
@@ -531,6 +591,16 @@ CONFIG_KINDS = {
 }
 
 
+def fault(kind, value) -> str | None:
+    """How parse_config_text should refuse a value of this kind, if it should."""
+    if not well_typed(kind, value):
+        return "of type"
+    items = value if isinstance(value, list) else [value]
+    if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+        return "finite"
+    return None
+
+
 def well_typed(kind, value) -> bool:
     if kind.endswith(" or null"):
         return value is None or well_typed(kind[:-8], value)
@@ -549,13 +619,18 @@ def test_config_kinds_cover_every_key():
 @example([("vertices", 3.5)])
 @example([("planted", "yes")])
 @example([("p_grid", [0.2, True])])
+@example([("model", ["#"])])  # '#' inside a JSON value is no comment
+@example([("rate", math.nan), ("vertices", 3.5)])
+@example([("alphas", [2.5, -math.inf])])
 @settings(max_examples=300, deadline=None)
 def test_config_values_of_wrong_type_raise_data_error(items):
     text = "\n".join(f"{key} = {json.dumps(value)}" for key, value in items)
-    bad = next((k for k, (key, value) in enumerate(items, start=1)
-                if not well_typed(CONFIG_KINDS[key], value)), None)
+    faults = [(k, key, fault(CONFIG_KINDS[key], value))
+              for k, (key, value) in enumerate(items, start=1)]
+    bad = next(((k, key, why) for k, key, why in faults if why), None)
     if bad is not None:
-        with pytest.raises(DataError, match=f"line {bad}: {items[bad - 1][0]} must be of type"):
+        k, key, why = bad
+        with pytest.raises(DataError, match=f"line {k}: {key} must be {why}"):
             parse_config_text(text)
         return
     try:  # well-typed values may still be out of range, but never a TypeError

@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphvar import density
 from graphvar.density import (
     DensityLevel,
     DensityVector,
     WeightFunction,
+    _closed_form_counts,
+    _exact_cost,
+    _exact_level_counts,
     _mc_codes,
     bound_constant,
     density_exact,
@@ -86,6 +90,57 @@ def test_density_level_guards():
     big_host = er_sample(12, 0.5, 54)
     with pytest.raises(ValueError, match="not supported"):
         density_exact(AdjacencyGraph.empty(7), big_host)
+
+
+def assert_closed_form_matches_walker(host):
+    """Levels 1-3 in closed form against the tuple walker, kept as the oracle."""
+    assert _closed_form_counts(host, 1).tolist() == [host.n]
+    for k in (2, 3):
+        got, want = _closed_form_counts(host, k), _exact_level_counts(host, k)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (host, k, got, want)
+
+
+@given(m=st.integers(3, 70), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(m=3, p=1.0, seed=0)
+@example(m=70, p=0.5, seed=1)
+@settings(max_examples=80, deadline=None)
+def test_closed_form_counts_match_walker(m, p, seed):
+    assert_closed_form_matches_walker(er_sample(m, p, seed))
+
+
+@pytest.mark.parametrize("m", [3, 4, 7, 9, 63, 64, 65, 127, 129])
+def test_closed_form_counts_across_packing_padding(m):
+    # m not a multiple of 8 or 64 leaves pad bits in the packed rows
+    for host in (AdjacencyGraph.empty(m), AdjacencyGraph.complete(m), er_sample(m, 0.5, m)):
+        assert_closed_form_matches_walker(host)
+    assert _closed_form_counts(AdjacencyGraph.complete(m), 3)[-1] == math.perm(m, 3)
+
+
+@pytest.mark.parametrize("gather_bytes", [1, 1300, 4500])
+def test_closed_form_counts_over_many_gather_chunks(monkeypatch, gather_bytes):
+    # at m = 70 a packed row holds 9 bytes, so these sizes gather 1, 2 and 7
+    # upper-triangle rows at a time: far fewer edges than the host has
+    monkeypatch.setattr(density, "_GATHER_BYTES", gather_bytes)
+    for p in (0.3, 0.9):
+        host = er_sample(70, p, 80)
+        assert host.edge_count > 7 * 70
+        assert_closed_form_matches_walker(host)
+
+
+def test_exact_cost_units():
+    # levels 1-2 are free; level 3 is packed-row word ANDs, C(m, 2) * ceil(m / 64);
+    # levels 4-6 are tuples
+    assert _exact_cost(256, 1) == _exact_cost(256, 2) == 0
+    assert _exact_cost(256, 3) == 32_640 * 4 == 130_560
+    assert _exact_cost(65, 3) == num_pairs(65) * 2
+    assert _exact_cost(256, 4) == math.perm(256, 4)
+    vec = limit_vector(er_sample(256, 0.5, 81), n_max=3)  # default budget 10^7
+    assert [lv.mode for lv in vec.levels] == ["exact"] * 3
+    with pytest.raises(ValueError, match="130560 word ANDs at level 3 .* use density_mc"):
+        limit_vector(er_sample(256, 0.5, 81), n_max=3, mode="exact", budget=130_559)
+    with pytest.raises(ValueError, match="tuples at level 4"):
+        density_exact(AdjacencyGraph.empty(4), er_sample(64, 0.5, 82), budget=10**6)
 
 
 def test_density_mc_within_error_of_exact():
@@ -366,6 +421,19 @@ def test_total_variation_hand_value():
     assert rep.bound == pytest.approx(0.5 * 2 * 0.171875)
     assert rep.ok and rep.allowance == 0.0 and rep.mode == "exact"
     assert rep.type_a_count == 1
+
+
+def test_total_variation_auto_is_exact_at_analyze_size():
+    from graphvar.process import simulate_edge_flip
+
+    path = simulate_edge_flip(256, 0.05, seed=72)
+    rep = total_variation_check(path, p=0.2, n_max=3, mode="auto")
+    assert rep.mode == "exact" and rep.allowance == 0.0
+    assert rep.ok and rep.tv <= rep.bound
+    # a budget below the level-3 cost leaves only level 3 to Monte Carlo
+    mixed = total_variation_check(path, p=0.2, n_max=3, mode="auto", n_samples=2_000,
+                                  budget=100_000)
+    assert mixed.mode == "mc" and mixed.allowance > 0.0
 
 
 def test_total_variation_flip_path_exact():
