@@ -115,6 +115,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _resolve(args, ("seed", "p_grid", "m_grid", "alphas", "k_perm",
                           "n_max", "weight_family"))
     path = load_path(args.path)
+    if not args.skip_tv and cfg.n_max > path.n:  # refused before any table is written
+        raise ValueError(f"pattern level {cfg.n_max} exceeds host vertex count {path.n}")
     out = open(args.out, "w", encoding="ascii", newline="") if args.out else sys.stdout
     try:
         w = csv.writer(out, lineterminator="\n")

@@ -17,6 +17,7 @@ import types
 import typing
 from dataclasses import dataclass
 
+from .density import LEVEL_HARD_CAP
 from .graphs import DataError
 from .process import MODELS, check_vertex_count
 
@@ -61,8 +62,8 @@ class RunConfig:
             raise ValueError("m_grid windows must be at least 2")
         if any(not 0 < a < math.inf for a in self.alphas):
             raise ValueError("alphas must be positive and finite")
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
+        if not 1 <= self.n_max <= LEVEL_HARD_CAP:
+            raise ValueError(f"n_max must lie in [1, {LEVEL_HARD_CAP}]")
         if self.k_perm < 2 or self.k_inj < 1:
             raise ValueError("sample sizes must be positive (k_perm >= 2)")
         if self.exact_budget < 1:

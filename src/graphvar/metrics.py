@@ -116,12 +116,14 @@ def prefix_distances(
 ) -> dict[int, np.ndarray]:
     """window -> (len(diffs), relabelings) matrix of relabeled prefix distances.
 
-    diffs[s] is the disagreement bitset of two graphs on n vertices.  Under the
-    relabeling inv[r], their distance with both graphs projected onto the first
-    m positions is 1 / (the smallest larger relabeled endpoint, 0-indexed,
-    among disagreeing pairs inside the window), and 0 when none is inside.
+    diffs[s] is the disagreement bitset of two graphs on n vertices.  The
+    kernel takes one first-disagreement minimum per (segment, relabeling): q,
+    the smallest larger relabeled endpoint (0-indexed) among disagreeing pairs
+    under inv[r], n if there is none.  Window m, both graphs projected onto
+    the first m positions, keeps it only when it is below m: the distance is
+    1 / q when q < m, and 0 otherwise.
     """
-    out = {m: np.zeros((len(diffs), inv.shape[0])) for m in windows}
+    q = np.full((len(diffs), inv.shape[0]), n)
     ii, jj = pair_endpoints(n)
     for s, bits in enumerate(diffs):
         if bits == 0:
@@ -129,24 +131,20 @@ def prefix_distances(
         idx = np.flatnonzero(_unpack(bits, num_pairs(n)))
         a, b = ii[idx], jj[idx]
         for lo in range(0, inv.shape[0], RELABEL_BATCH):
-            rows = slice(lo, lo + RELABEL_BATCH)
-            for m, mn in _first_blocks(inv[rows], a, b, n, windows).items():
-                out[m][s, rows] = np.where(mn < n, 1.0 / np.maximum(mn, 1), 0.0)
-    return out
+            q[s, lo : lo + RELABEL_BATCH] = _first_disagreement(inv[lo : lo + RELABEL_BATCH], a, b)
+    d = 1.0 / np.maximum(q, 1)
+    return {m: np.where(q < m, d, 0.0) for m in windows}
 
 
-def _first_blocks(
-    inv: np.ndarray, a: np.ndarray, b: np.ndarray, n: int, windows: Sequence[int]
-) -> dict[int, np.ndarray]:
-    """window -> per row, the smallest larger relabeled endpoint inside it (n if none).
+def _first_disagreement(inv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, the smallest larger relabeled endpoint of the pairs (a, b).
 
     A function of its own so that the (rows, pairs) gather is freed before the
     next batch is gathered.
     """
     mx = inv[:, a]
     np.maximum(mx, inv[:, b], out=mx)
-    # at m == n every pair is inside, so no mask is needed
-    return {m: (mx if m == n else np.where(mx < m, mx, n)).min(axis=1) for m in windows}
+    return mx.min(axis=1)
 
 
 def relabeling_mean(values: np.ndarray, exact: bool) -> tuple[float, float]:

@@ -187,8 +187,6 @@ class JumpBoundReport:
     quantum: float
     margin: float
     ok: bool
-    rows: tuple[LadderRow, ...]
-    skipped: tuple[float, ...]
 
 
 def jump_bound_check(path: EventLogPath, ps: Sequence[float]) -> JumpBoundReport:
@@ -206,8 +204,6 @@ def jump_bound_check(path: EventLogPath, ps: Sequence[float]) -> JumpBoundReport
         quantum=quantum,
         margin=margin,
         ok=margin >= -quantum,
-        rows=profile.rows,
-        skipped=profile.skipped,
     )
 
 
@@ -293,8 +289,6 @@ class VariationGrid:
     alphas: tuple[float, ...]
     k_perm: int
     cells: tuple[VariationCell, ...]
-    rows: tuple[LadderRow, ...]
-    skipped: tuple[float, ...]
 
     def cell(self, p: float, window: int, alpha: float) -> VariationCell:
         for c in self.cells:
@@ -367,8 +361,6 @@ def variation_grid(
         alphas=alphas,
         k_perm=k_perm,
         cells=tuple(cells),
-        rows=profile.rows,
-        skipped=profile.skipped,
     )
 
 

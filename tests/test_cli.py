@@ -56,6 +56,7 @@ def test_runconfig_defaults_and_windows():
         {"rate": math.nan},
         {"horizon": math.inf},
         {"boost_factor": -math.inf},
+        {"n_max": 7},
     ],
 )
 def test_runconfig_validation(kwargs):
@@ -210,6 +211,24 @@ def test_analyze_skips_and_out_file(tmp_path):
     text = out.read_text()
     assert "# ladder" in text
     assert "# variation" not in text and "# tv" not in text
+
+
+def test_analyze_level_above_vertex_count_writes_nothing(tmp_path, capsys):
+    src = tmp_path / "small.jsonl"
+    assert main(["simulate", "--vertices", "5", "--out", str(src)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "t.csv"
+    for extra in (["--out", str(out)], []):
+        assert main(["analyze", "--path", str(src), "--n-max", "6", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "pattern level 6 exceeds host vertex count 5" in captured.err
+    assert not out.exists()
+    assert main(["analyze", "--path", str(src), "--n-max", "7"]) == 2
+    assert capsys.readouterr().out == ""
+    # the level only matters to the tv table
+    assert main(["analyze", "--path", str(src), "--n-max", "6", "--skip-tv",
+                 "--out", str(out)]) == 0
 
 
 def test_analyze_missing_file(tmp_path):

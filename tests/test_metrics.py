@@ -127,7 +127,7 @@ def relabeled(g, row):
     return apply_map(g, InjectiveMap(tuple(int(v) + 1 for v in np.argsort(row))))
 
 
-@pytest.mark.parametrize("n,k", [(2, 0), (4, 0), (6, 0), (7, 0), (9, 60)])
+@pytest.mark.parametrize("n,k", [(2, 0), (4, 0), (6, 0), (7, 0), (9, 60), (10, 600), (64, 24)])
 def test_prefix_distances_match_scalar_oracle(n, k):
     f, g, h = (er_sample(n, 0.4, [80, n, r]) for r in range(3))
     pairs = [(f, g), (h, h), (AdjacencyGraph.empty(n), AdjacencyGraph.from_edges(n, [(n - 1, n)]))]
