@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
@@ -115,49 +116,50 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _resolve(args, ("seed", "p_grid", "m_grid", "alphas", "k_perm",
                           "n_max", "weight_family"))
     path = load_path(args.path)
-    if not args.skip_tv and cfg.n_max > path.n:  # refused before any table is written
+    if not args.skip_tv and cfg.n_max > path.n:  # refused before any ladder is scanned
         raise ValueError(f"pattern level {cfg.n_max} exceeds host vertex count {path.n}")
-    out = open(args.out, "w", encoding="ascii", newline="") if args.out else sys.stdout
-    try:
-        w = csv.writer(out, lineterminator="\n")
-        profile = np_profile(path, cfg.p_grid)
-        out.write("# ladder\n")
-        w.writerow(["p", "n_p", "product", "type_a_count"])
-        for row in profile.rows:
-            w.writerow([_fmt(row.p), row.n_p, _fmt(row.product), row.type_a_count])
-        for p in profile.skipped:
-            out.write(f"# skipped p={_fmt(p)}: below density quantum\n")
+    out = io.StringIO()  # every table is built before --out is opened or stdout written
+    w = csv.writer(out, lineterminator="\n")
+    profile = np_profile(path, cfg.p_grid)
+    out.write("# ladder\n")
+    w.writerow(["p", "n_p", "product", "type_a_count"])
+    for row in profile.rows:
+        w.writerow([_fmt(row.p), row.n_p, _fmt(row.product), row.type_a_count])
+    for p in profile.skipped:
+        out.write(f"# skipped p={_fmt(p)}: below density quantum\n")
 
-        if not args.skip_variation:
-            if cfg.m_grid is not None:
-                windows = tuple(sorted({m for m in cfg.m_grid if 2 <= m <= path.n}))
-            else:
-                windows = default_windows(path.n)
-            grid = variation_grid(
-                path, cfg.p_grid, windows=windows or (path.n,),
-                alphas=cfg.alphas, k_perm=cfg.k_perm, seed=[cfg.seed, 7],
+    if not args.skip_variation:
+        if cfg.m_grid is not None:
+            windows = tuple(sorted({m for m in cfg.m_grid if 2 <= m <= path.n}))
+        else:
+            windows = default_windows(path.n)
+        grid = variation_grid(
+            profile, windows=windows or (path.n,),
+            alphas=cfg.alphas, k_perm=cfg.k_perm, seed=[cfg.seed, 7],
+        )
+        out.write("# variation\n")
+        w.writerow(["p", "window", "alpha", "value", "stderr"])
+        for c in grid.cells:
+            w.writerow([_fmt(c.p), c.window, _fmt(c.alpha),
+                        _fmt(c.value), _fmt(c.stderr)])
+
+    if not args.skip_tv:
+        weights = weight_family(cfg.weight_family)
+        out.write("# tv\n")
+        w.writerow(["p", "n_p", "tv", "bound", "margin", "mode"])
+        for ladder in profile.ladders:
+            rep = total_variation_check(
+                ladder, n_max=cfg.n_max, weights=weights,
+                mode="auto", n_samples=cfg.k_inj,
+                budget=cfg.exact_budget, seed=[cfg.seed, 8],
             )
-            out.write("# variation\n")
-            w.writerow(["p", "window", "alpha", "value", "stderr"])
-            for c in grid.cells:
-                w.writerow([_fmt(c.p), c.window, _fmt(c.alpha),
-                            _fmt(c.value), _fmt(c.stderr)])
-
-        if not args.skip_tv:
-            weights = weight_family(cfg.weight_family)
-            out.write("# tv\n")
-            w.writerow(["p", "n_p", "tv", "bound", "margin", "mode"])
-            for row in profile.rows:
-                rep = total_variation_check(
-                    path, row.p, n_max=cfg.n_max, weights=weights,
-                    mode="auto", n_samples=cfg.k_inj,
-                    budget=cfg.exact_budget, seed=[cfg.seed, 8],
-                )
-                w.writerow([_fmt(rep.p), rep.n_p, _fmt(rep.tv), _fmt(rep.bound),
-                            _fmt(rep.margin), rep.mode])
-    finally:
-        if args.out:
-            out.close()
+            w.writerow([_fmt(rep.p), rep.n_p, _fmt(rep.tv), _fmt(rep.bound),
+                        _fmt(rep.margin), rep.mode])
+    if args.out:
+        with open(args.out, "w", encoding="ascii", newline="") as fh:
+            fh.write(out.getvalue())
+    else:
+        sys.stdout.write(out.getvalue())
     return 0
 
 

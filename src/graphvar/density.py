@@ -15,13 +15,22 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .graphs import AdjacencyGraph, DataError, num_pairs, pair_index, seed_list, sym_diff_count
-from .process import EventLogPath
-from .variation import stopping_ladder
+from .graphs import (
+    MAX_VERTEX_PAIRS,
+    AdjacencyGraph,
+    DataError,
+    num_pairs,
+    pair_index,
+    seed_list,
+    sym_diff_count,
+)
+
+if TYPE_CHECKING:
+    from .variation import StoppingLadder
 
 DEFAULT_EXACT_BUDGET = 10**7
 LEVEL_HARD_CAP = 6  # 2^C(7,2) pattern slots would be 2 million
@@ -140,12 +149,16 @@ def _mc_codes(adj: np.ndarray, k: int, n_samples: int, seed) -> np.ndarray:
     adj is the host's dense boolean adjacency matrix.  Ordered k-tuples are
     drawn with replacement in batches; rows that repeat a vertex are rejected
     and the rest kept in draw order.  Every 1-tuple has code 0, so level 1
-    draws nothing.
+    draws nothing.  k * n_samples over MAX_VERTEX_PAIRS is refused before
+    anything is allocated.
     """
     m = adj.shape[0]
     _require_level(k, m)
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if k * n_samples > MAX_VERTEX_PAIRS:
+        raise ValueError(f"k_inj={n_samples} samples of {k}-tuples need {k * n_samples} "
+                         f"vertices, over the limit of {MAX_VERTEX_PAIRS}")
     codes = np.zeros(n_samples, dtype=np.int64)
     if k == 1:
         return codes
@@ -205,6 +218,8 @@ class DensityLevel:
     denominator: int | None = None
 
     def __post_init__(self) -> None:
+        if not (1 <= self.n <= LEVEL_HARD_CAP):
+            raise ValueError(f"level n={self.n} must lie in [1, {LEVEL_HARD_CAP}]")
         if len(self.t) != 1 << num_pairs(self.n):
             raise ValueError("level vector has wrong number of pattern slots")
         if self.mode not in ("exact", "mc"):
@@ -222,6 +237,8 @@ class DensityVector:
     levels: tuple[DensityLevel, ...]
 
     def __post_init__(self) -> None:
+        if not (1 <= self.n_max <= LEVEL_HARD_CAP):
+            raise ValueError(f"n_max={self.n_max} must lie in [1, {LEVEL_HARD_CAP}]")
         if [lv.n for lv in self.levels] != list(range(1, self.n_max + 1)):
             raise ValueError("levels must cover 1..n_max in order")
 
@@ -270,7 +287,7 @@ def load_density_vector(file) -> DensityVector:
     with open(file, "r", encoding="ascii") as fh:
         try:
             return DensityVector.from_dict(json.load(fh))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise DataError(f"{file}: bad density vector: {exc}") from exc
 
 
@@ -527,8 +544,7 @@ class TotalVariationReport:
 
 
 def total_variation_check(
-    path: EventLogPath,
-    p: float,
+    ladder: StoppingLadder,
     n_max: int = 3,
     weights: WeightFunction | None = None,
     mode: str = "auto",
@@ -536,7 +552,7 @@ def total_variation_check(
     budget: int = DEFAULT_EXACT_BUDGET,
     seed=0,
 ) -> TotalVariationReport:
-    """Sum of limit-metric steps across ladder segments against p * n_p * S.
+    """Sum of limit-metric steps along a scanned ladder against p * n_p * S.
 
     S is bound_constant(weights, n_max).  Segments are the threshold
     crossings plus the capped final stretch to the horizon.  Exact density
@@ -545,7 +561,6 @@ def total_variation_check(
     """
     if weights is None:
         weights = WEIGHT_FAMILIES["two_pow_neg_nsq"]
-    ladder = stopping_ladder(path, p)
     snapshots = list(ladder.anchors) + [ladder.final]
     vectors = [
         limit_vector(g, n_max, mode=mode, n_samples=n_samples, budget=budget,
@@ -558,9 +573,9 @@ def total_variation_check(
         steps.append(limit_metric(prev, cur, weights))
         allowance += 3.0 * limit_metric_error_budget(prev, cur, weights)
     tv = float(sum(steps))
-    bound = p * ladder.n_p * bound_constant(weights, n_max)
+    bound = ladder.p * ladder.n_p * bound_constant(weights, n_max)
     return TotalVariationReport(
-        p=p,
+        p=ladder.p,
         n_p=ladder.n_p,
         n_max=n_max,
         family=weights.name,
@@ -589,21 +604,19 @@ class PatternVariationReport:
 
 
 def finite_dim_variation(
-    path: EventLogPath,
+    ladder: StoppingLadder,
     pattern: AdjacencyGraph,
-    p: float,
     budget: int = DEFAULT_EXACT_BUDGET,
 ) -> PatternVariationReport:
-    """Exact single-pattern density variation vs p * n_p * C(k,2)."""
-    ladder = stopping_ladder(path, p)
+    """Exact single-pattern density variation along a scanned ladder vs p * n_p * C(k,2)."""
     snapshots = list(ladder.anchors) + [ladder.final]
     ts = [density_exact(pattern, g, budget) for g in snapshots]
     steps = [abs(b - a) for a, b in zip(ts, ts[1:])]
     tv = float(sum(steps))
-    bound = p * ladder.n_p * num_pairs(pattern.n)
+    bound = ladder.p * ladder.n_p * num_pairs(pattern.n)
     return PatternVariationReport(
         pattern_n=pattern.n,
-        p=p,
+        p=ladder.p,
         n_p=ladder.n_p,
         tv=tv,
         bound=bound,

@@ -11,6 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import (
+    MAX_VERTEX_PAIRS,
     AdjacencyGraph,
     _unpack,
     num_pairs,
@@ -93,13 +94,17 @@ def relabelings(n: int, k: int, seed) -> tuple[np.ndarray, bool]:
     Row r maps each vertex (0-indexed) to its position under the r-th
     relabeling.  All relabelings are enumerated when n! <= EXACT_PERM_LIMIT;
     otherwise k are drawn from default_rng(seed), batch by batch, and the
-    rows equal those of k successive rng.permutation(n) calls.
+    rows equal those of k successive rng.permutation(n) calls; k * n over
+    MAX_VERTEX_PAIRS is refused before anything is allocated.
     """
     if math.factorial(n) <= EXACT_PERM_LIMIT:
         perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
         return np.argsort(perms, axis=1), True
     if k < 2:
         raise ValueError("need at least two Monte Carlo relabelings")
+    if k * n > MAX_VERTEX_PAIRS:
+        raise ValueError(f"k_perm={k} relabelings of {n} vertices need {k * n} "
+                         f"positions, over the limit of {MAX_VERTEX_PAIRS}")
     rng = np.random.default_rng(seed)
     # int64, not int32: analyze's density Monte Carlo, which runs next, was 12%
     # slower after int32 gathers, because the smaller blocks they free leave

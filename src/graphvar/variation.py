@@ -246,10 +246,7 @@ def dyadic_diagnostic(path: EventLogPath, p0: float, k_max: int) -> DyadicDiagno
             f"halving grid reaches p={ps[-1]:.3g} below the density quantum "
             f"{quantum:.3g} at n={path.n}; reduce k_max"
         )
-    a = []
-    for p in ps:
-        lad = stopping_ladder(path, p)
-        a.append(p * (lad.n_p - 1))
+    a = [p * (lad.n_p - 1) for p, lad in zip(ps, np_profile(path, ps).ladders)]
     slack_ok = tuple(a[k + 1] >= a[k] - ps[k + 1] for k in range(k_max))
     raw = tuple(a[k + 1] >= a[k] for k in range(k_max))
     return DyadicDiagnostic(p0, ps, tuple(a), slack_ok, raw)
@@ -284,7 +281,6 @@ class VariationGrid:
     """Permutation-averaged alpha-power variation across (p, window, alpha)."""
 
     n: int
-    ps: tuple[float, ...]
     windows: tuple[int, ...]
     alphas: tuple[float, ...]
     k_perm: int
@@ -317,22 +313,21 @@ def default_windows(n: int) -> tuple[int, ...]:
 
 
 def variation_grid(
-    path: EventLogPath,
-    ps: Sequence[float],
+    profile: LadderProfile,
     windows: Sequence[int] | None = None,
     alphas: Sequence[float] = (2.5, 3.0),
     k_perm: int = 200,
     seed=0,
 ) -> VariationGrid:
     """Sum of prefix distances to the alpha over ladder segments, averaged over
-    vertex relabelings, for every (threshold, window, alpha) grid cell.
+    vertex relabelings, for every (profile ladder, window, alpha) grid cell.
 
     The sum runs over the crossing segments plus the capped final segment.
     One shared batch of relabelings per threshold serves all windows and
     alphas, so cells within a threshold are statistically coupled but
     consistent.  Relabelings are exhaustive for small vertex counts.
     """
-    n = path.n
+    n = profile.n
     if windows is None:
         windows = default_windows(n)
     windows = tuple(windows)
@@ -344,7 +339,6 @@ def variation_grid(
     if not alphas or any(a <= 0 for a in alphas):
         raise ValueError("alpha values must be positive")
 
-    profile = np_profile(path, ps)
     cells: list[VariationCell] = []
     for lad in profile.ladders:
         dists, exact = _relabeled_segments(lad, n, windows, k_perm, seed)
@@ -356,7 +350,6 @@ def variation_grid(
                 )
     return VariationGrid(
         n=n,
-        ps=tuple(ps),
         windows=windows,
         alphas=alphas,
         k_perm=k_perm,
@@ -435,10 +428,11 @@ def variation_bound_check(
     n = path.n
     sup_profile = np_profile(path, list(grid_for_sup) if grid_for_sup else list(ps))
     sup = sup_profile.sup_product
+    scanned = {lad.p: lad for lad in sup_profile.ladders}
 
     rows: list[VariationBound] = []
     for p in ps:
-        lad = stopping_ladder(path, p)
+        lad = scanned[p] if p in scanned else stopping_ladder(path, p)
         dists, exact = _relabeled_segments(lad, n, [n], k_perm, seed)
         dens = lad.segment_densities()
         for a in alphas:

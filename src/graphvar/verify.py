@@ -42,6 +42,7 @@ from .variation import (
     dyadic_diagnostic,
     jump_bound_check,
     np_profile,
+    stopping_ladder,
     variation_bound_check,
 )
 
@@ -341,7 +342,7 @@ def _check_limit_tv_bound(cfg: RunConfig, adversarial: bool) -> CheckResult:
     ok = True
     for p in (0.2, 0.1):
         rep = total_variation_check(
-            path, p, n_max=3, weights=weights, mode="exact", budget=cfg.exact_budget
+            stopping_ladder(path, p), n_max=3, weights=weights, mode="exact", budget=cfg.exact_budget
         )
         ok = ok and rep.ok
         worst = min(worst, rep.margin)

@@ -1,5 +1,23 @@
 import sys
 
+import pytest
+
+from graphvar import variation
+
+
+@pytest.fixture
+def ladder_scans(monkeypatch):
+    """The threshold of every stopping_ladder scan, in call order."""
+    scans = []
+    scan = variation.stopping_ladder
+
+    def counting(path, p):
+        scans.append(p)
+        return scan(path, p)
+
+    monkeypatch.setattr(variation, "stopping_ladder", counting)
+    return scans
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance criterion lines after capture is torn down.

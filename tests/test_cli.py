@@ -231,6 +231,30 @@ def test_analyze_level_above_vertex_count_writes_nothing(tmp_path, capsys):
                  "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("command, flags, field", [
+    ("analyze", ["--k-perm", "1000000000000", "--skip-tv"], "k_perm"),
+    ("densities", ["--mode", "mc", "--k-inj", "1000000000000"], "k_inj"),
+])
+def test_oversized_sample_flag_writes_nothing(tmp_path, capsys, command, flags, field):
+    src = simulate_small(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for extra in (["--out", str(out)], []):
+        assert main([command, "--path", str(src), *flags, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usage error: {field}=1000000000000 " in captured.err
+        assert f"over the limit of {MAX_VERTEX_PAIRS}" in captured.err
+    assert not out.exists()
+
+
+def test_analyze_scans_each_threshold_once(tmp_path, ladder_scans):
+    src = tmp_path / "p64.jsonl"
+    assert main(["simulate", "--out", str(src), "--vertices", "64", "--rate", "1"]) == 0
+    assert main(["analyze", "--path", str(src)]) == 0
+    assert ladder_scans == [0.2, 0.1, 0.05, 0.025]  # the default grid, all above the quantum
+
+
 def test_analyze_missing_file(tmp_path):
     assert main(["analyze", "--path", str(tmp_path / "nope.jsonl")]) == 3
 

@@ -30,8 +30,9 @@ from graphvar.density import (
     weight_admissibility,
     weight_family,
 )
-from graphvar.graphs import AdjacencyGraph, er_sample, num_pairs, pair_endpoints, pair_index
+from graphvar.graphs import AdjacencyGraph, DataError, er_sample, num_pairs, pair_endpoints, pair_index
 from graphvar.process import EdgeEvent, EventLogPath
+from graphvar.variation import stopping_ladder
 
 
 def brute_density(pattern, host):
@@ -280,6 +281,18 @@ def test_density_vector_roundtrip(tmp_path):
     f.write_text("{'s broken")
     with pytest.raises(ValueError, match="bad density vector"):
         load_density_vector(f)
+    # out-of-range levels are refused before 2^C(n,2) or range(n_max) is built
+    for bad in ('{"n_max": 1, "levels": [{"n": 10000000000, "mode": "mc", "t": []}]}',
+                '{"n_max": 1, "levels": [{"n": 100000, "mode": "mc", "t": []}]}',
+                '{"n_max": 1, "levels": [{"n": 0, "mode": "mc", "t": [1.0]}]}',
+                '{"n_max": 10000000000, "levels": []}',
+                '{"n_max": 0, "levels": []}'):
+        f.write_text(bad)
+        with pytest.raises(DataError, match="bad density vector.* must lie in"):
+            load_density_vector(f)
+    f.write_text('{"n_max": 1, "levels": [{"n": 1e400, "mode": "mc", "t": []}]}')
+    with pytest.raises(DataError, match="bad density vector.*infinity"):
+        load_density_vector(f)
 
 
 def test_density_level_validation():
@@ -412,7 +425,8 @@ def complete_jump_path():
 
 
 def test_total_variation_hand_value():
-    rep = total_variation_check(complete_jump_path(), p=0.5, n_max=3, mode="exact")
+    rep = total_variation_check(stopping_ladder(complete_jump_path(), 0.5), n_max=3,
+                                mode="exact")
     # level 2 and level 3 each move their full mass across disjoint patterns
     f2, f3 = 2.0**-4, 2.0**-9
     assert rep.tv == pytest.approx(2 * f2 + 2 * f3)
@@ -427,12 +441,12 @@ def test_total_variation_auto_is_exact_at_analyze_size():
     from graphvar.process import simulate_edge_flip
 
     path = simulate_edge_flip(256, 0.05, seed=72)
-    rep = total_variation_check(path, p=0.2, n_max=3, mode="auto")
+    rep = total_variation_check(stopping_ladder(path, 0.2), n_max=3, mode="auto")
     assert rep.mode == "exact" and rep.allowance == 0.0
     assert rep.ok and rep.tv <= rep.bound
     # a budget below the level-3 cost leaves only level 3 to Monte Carlo
-    mixed = total_variation_check(path, p=0.2, n_max=3, mode="auto", n_samples=2_000,
-                                  budget=100_000)
+    mixed = total_variation_check(stopping_ladder(path, 0.2), n_max=3, mode="auto",
+                                  n_samples=2_000, budget=100_000)
     assert mixed.mode == "mc" and mixed.allowance > 0.0
 
 
@@ -440,7 +454,7 @@ def test_total_variation_flip_path_exact():
     from graphvar.process import simulate_edge_flip
 
     path = simulate_edge_flip(24, 3.0, seed=71)
-    rep = total_variation_check(path, p=0.2, n_max=3, mode="exact")
+    rep = total_variation_check(stopping_ladder(path, 0.2), n_max=3, mode="exact")
     assert rep.ok
     assert rep.tv <= rep.bound
     assert len(rep.per_segment) == rep.n_p
@@ -448,13 +462,14 @@ def test_total_variation_flip_path_exact():
 
 def test_finite_dim_variation_tight_for_edge_pattern():
     edge = AdjacencyGraph.from_edges(2, [(1, 2)])
-    rep = finite_dim_variation(complete_jump_path(), edge, p=0.5)
+    rep = finite_dim_variation(stopping_ladder(complete_jump_path(), 0.5), edge)
     # the edge density goes 0 -> 1 in one crossing: variation 1, ceiling
     # p * n_p * C(2,2) = 0.5 * 2 * 1 = 1, met with equality
     assert rep.tv == pytest.approx(1.0)
     assert rep.bound == pytest.approx(1.0)
     assert rep.ok
     assert rep.per_segment == (pytest.approx(1.0), 0.0)
-    triangle_rep = finite_dim_variation(complete_jump_path(), AdjacencyGraph.complete(3), p=0.5)
+    triangle_rep = finite_dim_variation(stopping_ladder(complete_jump_path(), 0.5),
+                                        AdjacencyGraph.complete(3))
     assert triangle_rep.tv == pytest.approx(1.0)
     assert triangle_rep.bound == pytest.approx(3.0)

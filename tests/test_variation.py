@@ -296,7 +296,7 @@ def single_pair_power(n, alpha):
 def test_variation_exact_hand_case_full_window():
     path = two_step_path()
     for alpha in (2.5, 3.0):
-        cell = variation_grid(path, [1 / 6], [4], [alpha]).cell(1 / 6, 4, alpha)
+        cell = variation_grid(np_profile(path, [1 / 6]), [4], [alpha]).cell(1 / 6, 4, alpha)
         assert cell.exact and cell.stderr == 0.0
         assert cell.n_p == 3
         # two one-pair segments plus an identical-endpoints final segment
@@ -308,13 +308,13 @@ def test_variation_exact_hand_case_window_two():
     # in a 2-vertex window a lone disagreeing pair is either at positions
     # {0, 1} (probability 1/6, distance 1) or outside (distance 0)
     for alpha in (2.5, 4.0):
-        cell = variation_grid(path, [1 / 6], [2], [alpha]).cell(1 / 6, 2, alpha)
+        cell = variation_grid(np_profile(path, [1 / 6]), [2], [alpha]).cell(1 / 6, 2, alpha)
         assert cell.value == pytest.approx(2 / 6, rel=1e-12)
 
 
 def test_variation_monotone_in_window_and_alpha():
     path = simulate_edge_flip(7, 4.0, seed=39)  # 7! permutations: exact
-    grid = variation_grid(path, [0.1, 0.3], windows=(2, 4, 7), alphas=(2.5, 3.0))
+    grid = variation_grid(np_profile(path, [0.1, 0.3]), windows=(2, 4, 7), alphas=(2.5, 3.0))
     for p in (0.1, 0.3):
         for a in (2.5, 3.0):
             prof = grid.window_profile(p, a)
@@ -329,25 +329,25 @@ def test_variation_monotone_in_window_and_alpha():
 
 
 def test_variation_grid_validation():
-    path = simulate_edge_flip(10, 2.0, seed=40)
+    profile = np_profile(simulate_edge_flip(10, 2.0, seed=40), [0.1])
     with pytest.raises(ValueError):
-        variation_grid(path, [0.1], windows=(4, 2))
+        variation_grid(profile, windows=(4, 2))
     with pytest.raises(ValueError):
-        variation_grid(path, [0.1], windows=(1, 4))
+        variation_grid(profile, windows=(1, 4))
     with pytest.raises(ValueError):
-        variation_grid(path, [0.1], windows=(2, 40))
+        variation_grid(profile, windows=(2, 40))
     with pytest.raises(ValueError):
-        variation_grid(path, [0.1], alphas=(0.0,))
-    grid = variation_grid(path, [0.1], windows=(2, 10), alphas=(2.5,))
+        variation_grid(profile, alphas=(0.0,))
+    grid = variation_grid(profile, windows=(2, 10), alphas=(2.5,))
     with pytest.raises(KeyError):
         grid.cell(0.2, 2, 2.5)
 
 
 def test_variation_grid_deterministic_and_coupled():
-    path = simulate_edge_flip(24, 2.0, seed=41)
-    g1 = variation_grid(path, [0.1], k_perm=64, seed=5)
-    g2 = variation_grid(path, [0.1], k_perm=64, seed=5)
-    g3 = variation_grid(path, [0.1], k_perm=64, seed=6)
+    profile = np_profile(simulate_edge_flip(24, 2.0, seed=41), [0.1])
+    g1 = variation_grid(profile, k_perm=64, seed=5)
+    g2 = variation_grid(profile, k_perm=64, seed=5)
+    g3 = variation_grid(profile, k_perm=64, seed=6)
     assert [c.value for c in g1.cells] == [c.value for c in g2.cells]
     assert [c.value for c in g1.cells] != [c.value for c in g3.cells]
     assert all(not c.exact and c.stderr > 0 for c in g1.cells)
@@ -361,7 +361,7 @@ def test_default_windows():
 
 def test_converged_value_reports_gap():
     path = simulate_edge_flip(24, 2.0, seed=42)
-    grid = variation_grid(path, [0.1], windows=(12, 24), alphas=(3.0,), k_perm=64)
+    grid = variation_grid(np_profile(path, [0.1]), windows=(12, 24), alphas=(3.0,), k_perm=64)
     value, ok, delta = grid.converged_value(0.1, 3.0, rel_tol=1.0)
     assert value == grid.cell(0.1, 24, 3.0).value
     assert ok  # tolerance of 100% always accepts
@@ -405,3 +405,15 @@ def test_variation_bound_holds_on_flip_paths():
         assert row.steps_ok
         assert row.rhs == pytest.approx(row.constant * row.sup_product)
         assert len(row.steps) == stopping_ladder(path, row.p).n_p
+
+
+def test_variation_bound_reuses_sup_grid_ladders(ladder_scans):
+    path = simulate_edge_flip(48, 3.0, seed=44)
+    grid = (0.2, 0.1, 0.05, 0.025)
+    variation_bound_check(path, (0.1, 0.05), k_perm=16, grid_for_sup=grid)
+    assert ladder_scans == list(grid)
+    ladder_scans.clear()
+    variation_bound_check(path, (0.15, 0.075), k_perm=16, grid_for_sup=grid)
+    assert ladder_scans == [*grid, 0.15, 0.075]
+    with pytest.raises(ValueError, match="density quantum"):
+        variation_bound_check(path, (1e-4,), grid_for_sup=grid)
