@@ -15,7 +15,7 @@ from .config import RunConfig, parse_float_list, parse_int_list, resolve_config
 from .density import limit_vector, save_density_vector, weight_family, total_variation_check
 from .graphs import DataError, read_edge_list
 from .process import MODELS, jump_counts, load_path, save_path, simulate, snapshot
-from .variation import default_windows, np_profile, variation_grid
+from .variation import np_profile, variation_grid
 from .verify import run_verification
 
 
@@ -118,6 +118,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     path = load_path(args.path)
     if not args.skip_tv and cfg.n_max > path.n:  # refused before any ladder is scanned
         raise ValueError(f"pattern level {cfg.n_max} exceeds host vertex count {path.n}")
+    if not args.skip_variation and cfg.m_grid is not None and max(cfg.m_grid) > path.n:
+        raise ValueError(f"m_grid window {max(cfg.m_grid)} exceeds host vertex count {path.n}")
     out = io.StringIO()  # every table is built before --out is opened or stdout written
     w = csv.writer(out, lineterminator="\n")
     profile = np_profile(path, cfg.p_grid)
@@ -129,12 +131,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         out.write(f"# skipped p={_fmt(p)}: below density quantum\n")
 
     if not args.skip_variation:
-        if cfg.m_grid is not None:
-            windows = tuple(sorted({m for m in cfg.m_grid if 2 <= m <= path.n}))
-        else:
-            windows = default_windows(path.n)
         grid = variation_grid(
-            profile, windows=windows or (path.n,),
+            profile, windows=None if cfg.m_grid is None else sorted(set(cfg.m_grid)),
             alphas=cfg.alphas, k_perm=cfg.k_perm, seed=[cfg.seed, 7],
         )
         out.write("# variation\n")

@@ -58,14 +58,16 @@ class RunConfig:
             raise ValueError("horizon must be positive")
         if not self.p_grid or any(not (0.0 < p < 1.0) for p in self.p_grid):
             raise ValueError("p_grid values must lie strictly between 0 and 1")
-        if self.m_grid is not None and any(m < 2 for m in self.m_grid):
-            raise ValueError("m_grid windows must be at least 2")
+        if self.m_grid is not None and (not self.m_grid or any(m < 2 for m in self.m_grid)):
+            raise ValueError("m_grid must be nonempty, with windows of at least 2")
         if any(not 0 < a < math.inf for a in self.alphas):
             raise ValueError("alphas must be positive and finite")
         if not 1 <= self.n_max <= LEVEL_HARD_CAP:
             raise ValueError(f"n_max must lie in [1, {LEVEL_HARD_CAP}]")
-        if self.k_perm < 2 or self.k_inj < 1:
-            raise ValueError("sample sizes must be positive (k_perm >= 2)")
+        if self.k_perm < 2:
+            raise ValueError("k_perm must be at least 2")
+        if self.k_inj < 1:
+            raise ValueError("k_inj must be at least 1")
         if self.exact_budget < 1:
             raise ValueError("exact_budget must be positive")
 

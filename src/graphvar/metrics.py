@@ -21,7 +21,8 @@ from .graphs import (
 )
 
 EXACT_PERM_LIMIT = 5040  # enumerate all permutations up to 7! = 5040
-RELABEL_BATCH = 512  # relabelings drawn, and gathered, at once
+RELABEL_BATCH = 512  # relabelings gathered at once
+HEAD_POSITIONS = 16  # relabeled positions whose pairs the head block reads
 
 
 @dataclass(frozen=True)
@@ -89,60 +90,95 @@ def prefix_metric(f: AdjacencyGraph, g: AdjacencyGraph) -> float:
 
 
 def relabelings(n: int, k: int, seed) -> tuple[np.ndarray, bool]:
-    """Inverse-position rows and whether they are all n! relabelings.
+    """Relabeling rows and whether they are all n! relabelings.
 
-    Row r maps each vertex (0-indexed) to its position under the r-th
-    relabeling.  All relabelings are enumerated when n! <= EXACT_PERM_LIMIT;
-    otherwise k are drawn from default_rng(seed), batch by batch, and the
+    Row r lists the vertices (0-indexed) by position under the r-th
+    relabeling: position t holds vertex rows[r, t].  All relabelings are
+    enumerated, in itertools.permutations order, when n! <= EXACT_PERM_LIMIT;
+    otherwise k are drawn from default_rng(seed), shuffled in place, and the
     rows equal those of k successive rng.permutation(n) calls; k * n over
     MAX_VERTEX_PAIRS is refused before anything is allocated.
     """
     if math.factorial(n) <= EXACT_PERM_LIMIT:
-        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-        return np.argsort(perms, axis=1), True
+        return np.array(list(itertools.permutations(range(n))), dtype=np.int64), True
     if k < 2:
         raise ValueError("need at least two Monte Carlo relabelings")
     if k * n > MAX_VERTEX_PAIRS:
         raise ValueError(f"k_perm={k} relabelings of {n} vertices need {k * n} "
                          f"positions, over the limit of {MAX_VERTEX_PAIRS}")
-    rng = np.random.default_rng(seed)
-    # int64, not int32: analyze's density Monte Carlo, which runs next, was 12%
-    # slower after int32 gathers, because the smaller blocks they free leave
-    # glibc's dynamic mmap threshold low
-    inv = np.empty((k, n), dtype=np.int64)
-    for lo in range(0, k, RELABEL_BATCH):
-        perms = rng.permuted(np.tile(np.arange(n), (min(RELABEL_BATCH, k - lo), 1)), axis=1)
-        inv[lo : lo + RELABEL_BATCH] = np.argsort(perms, axis=1)
-    return inv, False
+    # int64 (intp): the head cells and the inverse positions built from these
+    # rows are gather indices, which numpy would otherwise convert per gather
+    rows = np.tile(np.arange(n, dtype=np.int64), (k, 1))
+    return np.random.default_rng(seed).permuted(rows, axis=1, out=rows), False
 
 
 def prefix_distances(
-    diffs: Sequence[int], n: int, windows: Sequence[int], inv: np.ndarray
+    diffs: Sequence[int], n: int, windows: Sequence[int], perms: np.ndarray
 ) -> dict[int, np.ndarray]:
     """window -> (len(diffs), relabelings) matrix of relabeled prefix distances.
 
-    diffs[s] is the disagreement bitset of two graphs on n vertices.  The
-    kernel takes one first-disagreement minimum per (segment, relabeling): q,
-    the smallest larger relabeled endpoint (0-indexed) among disagreeing pairs
-    under inv[r], n if there is none.  Window m, both graphs projected onto
-    the first m positions, keeps it only when it is below m: the distance is
-    1 / q when q < m, and 0 otherwise.
+    diffs[s] is the disagreement bitset of two graphs on n vertices, and
+    perms[r] lists the vertices by position under the r-th relabeling (see
+    relabelings).  The kernel takes one first-disagreement minimum per
+    (segment, relabeling): q, the smallest larger relabeled endpoint
+    (0-indexed) among disagreeing pairs, n if there is none.  Window m, both
+    graphs projected onto the first m positions, keeps it only when it is
+    below m: the distance is 1 / q when q < m, and 0 otherwise.
+
+    A random relabeling meets its first disagreement early, near position
+    sqrt(2 / density).  So the head path sets a segment's pairs in a flat
+    n x n disagreement matrix and reads, per relabeling, only the L (L - 1) / 2
+    cells of the head position pairs u < t, L = min(n, HEAD_POSITIONS), ordered
+    by t: q is the t of the first cell set.  The cells' numbers depend only on
+    the rows, so they are computed once per call.  Relabelings with no
+    disagreement in the head fall back to the exact gather, which reads both
+    relabeled endpoints of every disagreeing pair from the inverse positions
+    of those rows alone.  The exact path runs that gather for every row, on
+    the inverse positions of all rows, argsorted once per call.  A segment
+    takes the path with fewer expected reads per row: 2 |pairs| for the exact
+    path; L^2 for the head, plus an n log2 n argsort and the 2 |pairs| gather
+    for the share of rows whose head holds no disagreement, (1 - density)
+    ^ (L (L - 1) / 2).  Both paths give the same integer q.
     """
-    q = np.full((len(diffs), inv.shape[0]), n)
+    q = np.full((len(diffs), perms.shape[0]), n)
     ii, jj = pair_endpoints(n)
+    npairs = num_pairs(n)
+    head = min(n, HEAD_POSITIONS)
+    t_of, u_of = np.tril_indices(head, k=-1)  # head position pairs u < t, by t
+    inv = cells = None  # per-row tables, built once when the first segment needs them
     for s, bits in enumerate(diffs):
         if bits == 0:
             continue
-        idx = np.flatnonzero(_unpack(bits, num_pairs(n)))
+        idx = np.flatnonzero(_unpack(bits, npairs))
         a, b = ii[idx], jj[idx]
-        for lo in range(0, inv.shape[0], RELABEL_BATCH):
-            q[s, lo : lo + RELABEL_BATCH] = _first_disagreement(inv[lo : lo + RELABEL_BATCH], a, b)
+        # expected reads per row: the head's L^2 cells, then, for the rows
+        # whose head pairs miss every disagreement, an argsort and the gather
+        p_miss = (1 - idx.size / npairs) ** (head * (head - 1) // 2)
+        if head * head + p_miss * (2 * idx.size + n * math.log2(n)) >= 2 * idx.size:
+            if inv is None:
+                inv = np.argsort(perms, axis=1)
+            for lo in range(0, perms.shape[0], RELABEL_BATCH):
+                hi = lo + RELABEL_BATCH
+                q[s, lo:hi] = _first_disagreement(inv[lo:hi], a, b)
+            continue
+        if cells is None:
+            cells = perms[:, t_of] * n + perms[:, u_of]
+        dense = np.zeros(n * n, dtype=bool)
+        dense[a * n + b] = dense[b * n + a] = True
+        for lo in range(0, perms.shape[0], RELABEL_BATCH):
+            hit = dense[cells[lo : lo + RELABEL_BATCH]]
+            first = t_of[hit.argmax(axis=1)]
+            miss = np.flatnonzero(~hit.any(axis=1))
+            if miss.size:
+                first[miss] = _first_disagreement(np.argsort(perms[lo + miss], axis=1), a, b)
+            q[s, lo : lo + RELABEL_BATCH] = first
     d = 1.0 / np.maximum(q, 1)
     return {m: np.where(q < m, d, 0.0) for m in windows}
 
 
 def _first_disagreement(inv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row, the smallest larger relabeled endpoint of the pairs (a, b).
+    """Per inverse-position row, the smallest larger relabeled endpoint of the
+    pairs (a, b).
 
     A function of its own so that the (rows, pairs) gather is freed before the
     next batch is gathered.
@@ -174,8 +210,8 @@ def perm_prefix_power(
     diff = f.bits ^ g.bits
     if diff == 0:
         return 0.0, 0.0
-    inv, exact = relabelings(n, k, seed)
-    d = prefix_distances([diff], n, [n], inv)[n][0]
+    perms, exact = relabelings(n, k, seed)
+    d = prefix_distances([diff], n, [n], perms)[n][0]
     return relabeling_mean(d**alpha, exact)
 
 

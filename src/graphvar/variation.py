@@ -260,9 +260,9 @@ def _relabeled_segments(
 ) -> tuple[dict[int, np.ndarray], bool]:
     """window -> (segments, relabelings) prefix distances of the ladder's
     segments, with one batch of relabelings per threshold."""
-    inv, exact = relabelings(n, k_perm, seed_list(seed) + [_seed_token(lad.p)])
+    perms, exact = relabelings(n, k_perm, seed_list(seed) + [_seed_token(lad.p)])
     diffs = [ga.bits ^ gb.bits for ga, gb in lad.segments()]
-    return prefix_distances(diffs, n, windows, inv), exact
+    return prefix_distances(diffs, n, windows, perms), exact
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,7 @@ def test_runconfig_defaults_and_windows():
         {"horizon": math.inf},
         {"boost_factor": -math.inf},
         {"n_max": 7},
+        {"m_grid": ()},
     ],
 )
 def test_runconfig_validation(kwargs):
@@ -229,6 +230,45 @@ def test_analyze_level_above_vertex_count_writes_nothing(tmp_path, capsys):
     # the level only matters to the tv table
     assert main(["analyze", "--path", str(src), "--n-max", "6", "--skip-tv",
                  "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("m_grid", ["300", "5,300"])
+def test_analyze_window_above_vertex_count_writes_nothing(tmp_path, capsys, m_grid):
+    src = tmp_path / "small.jsonl"
+    assert main(["simulate", "--vertices", "12", "--out", str(src)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "t.csv"
+    for extra in (["--out", str(out)], []):
+        assert main(["analyze", "--path", str(src), "--m-grid", m_grid, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "m_grid window 300 exceeds host vertex count 12" in captured.err
+    assert not out.exists()
+    # the windows only matter to the variation table
+    assert main(["analyze", "--path", str(src), "--m-grid", m_grid, "--skip-variation",
+                 "--out", str(out)]) == 0
+
+
+def test_analyze_empty_window_grid_is_refused(tmp_path, capsys):
+    src = simulate_small(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "t.csv"
+    assert main(["analyze", "--path", str(src), "--m-grid", "", "--out", str(out)]) == 2
+    assert "m_grid must be nonempty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("analyze", ["--k-perm", "1"], "k_perm must be at least 2"),
+    ("densities", ["--mode", "mc", "--k-inj", "0"], "k_inj must be at least 1"),
+])
+def test_sample_size_refusal_names_its_field(tmp_path, capsys, command, flags, message):
+    src = simulate_small(tmp_path)
+    capsys.readouterr()
+    assert main([command, "--path", str(src), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("command, flags, field", [

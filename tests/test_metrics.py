@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphvar.graphs import (
@@ -122,37 +122,58 @@ def test_perm_average_window_out_of_range():
 
 
 def relabeled(g, row):
-    """g under the relabeling with inverse positions `row`: vertex v moves to
-    position row[v], so position q holds the vertex argsort(row)[q]."""
-    return apply_map(g, InjectiveMap(tuple(int(v) + 1 for v in np.argsort(row))))
+    """g under the relabeling `row`: position q holds the vertex row[q]."""
+    return apply_map(g, InjectiveMap(tuple(int(v) + 1 for v in row)))
 
 
-@pytest.mark.parametrize("n,k", [(2, 0), (4, 0), (6, 0), (7, 0), (9, 60), (10, 600), (64, 24)])
+@pytest.mark.parametrize("n,k", [(2, 0), (4, 0), (6, 0), (7, 0), (9, 60), (10, 600), (64, 24), (64, 600)])
 def test_prefix_distances_match_scalar_oracle(n, k):
     f, g, h = (er_sample(n, 0.4, [80, n, r]) for r in range(3))
-    pairs = [(f, g), (h, h), (AdjacencyGraph.empty(n), AdjacencyGraph.from_edges(n, [(n - 1, n)]))]
+    empty = AdjacencyGraph.empty(n)
+    # every pair among the last 20 vertices: at n=64 its 190 pairs take the head
+    # block, and relabelings with at most one of them in the first 16 positions
+    # have q >= 16 and fall back to the exact gather
+    clique = AdjacencyGraph.from_edges(n, itertools.combinations(range(max(1, n - 19), n + 1), 2))
+    # one disagreeing pair: a sparse segment that takes the exact gather directly
+    pairs = [(f, g), (h, h), (empty, AdjacencyGraph.from_edges(n, [(n - 1, n)])), (empty, clique)]
     if n < 7:
         pairs.append((g, h))
-    inv, exact = relabelings(n, k, seed=[81, n])
+    perms, exact = relabelings(n, k, seed=[81, n])
     assert exact == (math.factorial(n) <= EXACT_PERM_LIMIT)
-    assert len({tuple(row) for row in inv}) == (math.factorial(n) if exact else k)
+    assert len({tuple(row) for row in perms}) == (math.factorial(n) if exact else k)
     windows = range(1, n + 1)
-    dist = prefix_distances([a.bits ^ b.bits for a, b in pairs], n, windows, inv)
+    dist = prefix_distances([a.bits ^ b.bits for a, b in pairs], n, windows, perms)
     for s, (a, b) in enumerate(pairs):
-        for r, row in enumerate(inv):
+        for r, row in enumerate(perms):
             ra, rb = relabeled(a, row), relabeled(b, row)
             for m in windows:
                 assert dist[m][s, r] == prefix_metric(project(ra, m), project(rb, m))
+    if k == 600 and n == 64:  # 600 rows cross a batch boundary and meet fallbacks
+        assert ((0 < dist[n][3]) & (dist[n][3] <= 1 / 16)).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(8, 48), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_prefix_distances_match_scalar_oracle_at_any_density(n, density, seed):
+    g = er_sample(n, density, [82, seed])
+    empty = AdjacencyGraph.empty(n)
+    perms, _ = relabelings(n, 8, seed=[83, seed])
+    windows = sorted({m for m in (2, 15, 16, 17) if m < n} | {n})
+    dist = prefix_distances([g.bits], n, windows, perms)
+    for r, row in enumerate(perms):
+        re_, rg = relabeled(empty, row), relabeled(g, row)
+        for m in windows:
+            assert dist[m][0, r] == prefix_metric(project(re_, m), project(rg, m))
 
 
 @pytest.mark.parametrize("n", [8, 64])
 def test_relabelings_rows_are_successive_permutation_draws(n):
-    k = 600  # crosses a batch boundary
-    inv, exact = relabelings(n, k, seed=[3, n])
-    assert not exact and inv.shape == (k, n)
+    k = 600
+    perms, exact = relabelings(n, k, seed=[3, n])
+    assert not exact and perms.shape == (k, n)
     rng = np.random.default_rng([3, n])
-    expect = np.array([np.argsort(rng.permutation(n)) for _ in range(k)])
-    assert np.array_equal(inv, expect)
+    expect = np.array([rng.permutation(n) for _ in range(k)])
+    assert np.array_equal(perms, expect)
 
 
 def test_relabelings_need_two_draws():
