@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy import stats
@@ -269,7 +269,16 @@ class JumpCounts:
         return float(self.counts.mean()) if self.counts.size else 0.0
 
 
-def simulate_edge_flip(
+class _EdgeFlipDraw(NamedTuple):
+    """What the edge-flip draw stage makes, in draw order (not time order)."""
+
+    rate: PiecewiseRate
+    init_vec: np.ndarray
+    times: np.ndarray
+    pairs: np.ndarray
+
+
+def _draw_edge_flip(
     n: int,
     rate,
     init_density: float = 0.5,
@@ -277,13 +286,12 @@ def simulate_edge_flip(
     seed=0,
     boost_edge: tuple[int, int] | None = None,
     boost_factor: float = 1.0,
-) -> EventLogPath:
-    """Independent per-edge flip clocks with a piecewise-constant intensity.
+) -> _EdgeFlipDraw:
+    """The draw stage of simulate_edge_flip, the only code that consumes its RNG stream.
 
-    Every unordered pair carries its own Poisson clock; each tick flips that
-    edge.  `rate` is a PiecewiseRate or a constant.  `boost_edge` multiplies
-    one edge's intensity by `boost_factor`, deliberately breaking
-    exchangeability for the planted-asymmetry diagnostics.
+    It draws the initial pair vector, then per rate piece each pair's Poisson
+    count and its events' uniform times; events come grouped by piece, then
+    by pair id, unsorted in time.
     """
     if not (0.0 <= init_density <= 1.0):
         raise ValueError("init_density must lie in [0, 1]")
@@ -311,12 +319,39 @@ def simulate_edge_flip(
         all_pairs.append(np.repeat(np.arange(npairs), counts))
         all_times.append(rng.uniform(t0, t1, total))
     times = np.concatenate(all_times)
-    pairs = np.concatenate(all_pairs)
     times = np.where(times <= 0.0, np.nextafter(0.0, 1.0), times)
+    return _EdgeFlipDraw(rate, init_vec, times, np.concatenate(all_pairs))
 
-    # event order is (time, i, j), and pair-index order is (i, j) order
-    final = np.lexsort((pairs, times))
-    times, pairs = times[final], pairs[final]
+
+def simulate_edge_flip(
+    n: int,
+    rate,
+    init_density: float = 0.5,
+    horizon: float = 1.0,
+    seed=0,
+    boost_edge: tuple[int, int] | None = None,
+    boost_factor: float = 1.0,
+) -> EventLogPath:
+    """Independent per-edge flip clocks with a piecewise-constant intensity.
+
+    Every unordered pair carries its own Poisson clock; each tick flips that
+    edge.  `rate` is a PiecewiseRate or a constant.  `boost_edge` multiplies
+    one edge's intensity by `boost_factor`, deliberately breaking
+    exchangeability for the planted-asymmetry diagnostics.
+
+    _draw_edge_flip draws the events; this ordering stage puts them in
+    (time, i, j) order.  A quicksort of the times gives that order whenever
+    the times are distinct, since distinct keys have one order; only when
+    the sorted times hold a tie does it sort again by (time, pair id).
+    """
+    draw = _draw_edge_flip(n, rate, init_density, horizon, seed, boost_edge, boost_factor)
+    order = np.argsort(draw.times)
+    times = draw.times[order]
+    if np.any(times[1:] == times[:-1]):
+        # pair-index order is (i, j) order
+        order = np.lexsort((draw.pairs, draw.times))
+        times = draw.times[order]
+    pairs = draw.pairs[order]
     # alternating values per edge, starting opposite the initial state; by
     # pair, then event order (unique keys, so the unstable sort is stable)
     e = pairs.shape[0]
@@ -325,14 +360,14 @@ def simulate_edge_flip(
     starts = np.r_[0, np.flatnonzero(np.diff(sp)) + 1]
     occ = np.arange(e) - np.repeat(starts, np.diff(np.r_[starts, e]))
     values = np.empty(e, dtype=np.int8)
-    values[order] = init_vec.astype(np.int8)[sp] ^ np.int8(1) ^ (occ % 2).astype(np.int8)
+    values[order] = draw.init_vec.astype(np.int8)[sp] ^ np.int8(1) ^ (occ % 2).astype(np.int8)
     ii, jj = pair_endpoints(n)
 
     meta = {
         "model": "edge-flip-planted" if boost_edge is not None else "edge-flip",
         "params": {
-            "rate_breaks": list(rate.breaks),
-            "rate_values": list(rate.rates),
+            "rate_breaks": list(draw.rate.breaks),
+            "rate_values": list(draw.rate.rates),
             "init_density": init_density,
         },
         "seed": _seed_repr(seed),
@@ -343,7 +378,7 @@ def simulate_edge_flip(
     return EventLogPath(
         n=n,
         horizon=horizon,
-        initial=AdjacencyGraph.from_pair_vector(n, init_vec),
+        initial=AdjacencyGraph.from_pair_vector(n, draw.init_vec),
         times=times,
         edge_i=(ii[pairs] + 1).astype(np.int32),
         edge_j=(jj[pairs] + 1).astype(np.int32),
@@ -427,41 +462,34 @@ def simulate_graphon_jump(
 MODELS = ("edge-flip", "edge-flip-planted", "graphon-jump")
 
 
-def simulate(model: str, n: int, horizon: float, seed, params: dict) -> EventLogPath:
-    """Dispatch on model name; params mirror the generator keyword arguments.
+def _generator_args(model: str, n: int, params: dict) -> dict:
+    """The generator keyword arguments `params` gives `model`, defaults filled in.
 
-    A vertex count over the MAX_VERTEX_PAIRS cap is refused before any
-    pair-sized array is allocated.
+    Refuses an unknown model, and a vertex count over the MAX_VERTEX_PAIRS
+    cap before any pair-sized array is allocated.
     """
     check_vertex_count(n)
-    if model == "edge-flip":
-        return simulate_edge_flip(
-            n,
-            params.get("rate", 1.0),
-            init_density=params.get("init_density", 0.5),
-            horizon=horizon,
-            seed=seed,
-        )
-    if model == "edge-flip-planted":
-        return simulate_edge_flip(
-            n,
-            params.get("rate", 1.0),
-            init_density=params.get("init_density", 0.5),
-            horizon=horizon,
-            seed=seed,
-            boost_edge=tuple(params.get("boost_edge", (1, 2))),
-            boost_factor=params.get("boost_factor", 10.0),
-        )
     if model == "graphon-jump":
         grids = params.get("grids", [[[0.5]]])
-        return simulate_graphon_jump(
-            n,
-            [StepGraphon(np.asarray(g, dtype=float)) for g in grids],
-            params.get("global_rate", 1.0),
-            seed=seed,
-            horizon=horizon,
-        )
-    raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+        return {
+            "graphons": [StepGraphon(np.asarray(g, dtype=float)) for g in grids],
+            "global_rate": params.get("global_rate", 1.0),
+        }
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    args = {"rate": params.get("rate", 1.0), "init_density": params.get("init_density", 0.5)}
+    if model == "edge-flip-planted":
+        args["boost_edge"] = tuple(params.get("boost_edge", (1, 2)))
+        args["boost_factor"] = params.get("boost_factor", 10.0)
+    return args
+
+
+def simulate(model: str, n: int, horizon: float, seed, params: dict) -> EventLogPath:
+    """Dispatch on model name; params mirror the generator keyword arguments."""
+    args = _generator_args(model, n, params)
+    if model == "graphon-jump":
+        return simulate_graphon_jump(n, seed=seed, horizon=horizon, **args)
+    return simulate_edge_flip(n, horizon=horizon, seed=seed, **args)
 
 
 def _seed_repr(seed):
@@ -707,10 +735,11 @@ def exchangeability_check(
 
     The statistic is the number of events on pairs inside the first `window`
     vertices: a full-graph statistic is invariant under any relabeling, so
-    only a windowed one can distinguish a relabeled path.  Each sample is
-    counted straight from the event arrays: under a relabeling sigma vertex
-    v sits at position sigma^{-1}(v), so an event lies in the window of the
-    relabeled path iff both endpoints' positions do.  For exchangeable
+    only a windowed one can distinguish a relabeled path.  Under a
+    relabeling sigma vertex v sits at position sigma^{-1}(v), so an event
+    lies in the relabeled window iff both endpoints' positions do.  The
+    count needs no time order, so edge-flip samples read the pair ids of
+    the simulator's draw stage and build no path.  For exchangeable
     generators both samples share one distribution and the p-value is
     approximately uniform; a planted per-edge asymmetry shifts the relabeled
     sample and drives the p-value to zero.
@@ -719,24 +748,32 @@ def exchangeability_check(
         raise ValueError("seed_count below 20 is underpowered; refusing to test")
     if not (1 <= window <= n):
         raise ValueError("window out of range")
+    args = _generator_args(model, n, params)
 
-    def windowed_count(path: EventLogPath, position: np.ndarray) -> int:
-        """Events with both endpoints at 0-based positions below `window`."""
-        hi = np.maximum(position[path.edge_i - 1], position[path.edge_j - 1])
-        return int(np.count_nonzero(hi < window))
+    def event_pairs(sample_seed) -> np.ndarray:
+        """Pair ids of one sample's events, in any order."""
+        if model == "graphon-jump":
+            return simulate_graphon_jump(n, seed=sample_seed, horizon=horizon, **args).pair_ids
+        return _draw_edge_flip(n, horizon=horizon, seed=sample_seed, **args).pairs
+
+    ii, jj = pair_endpoints(n)
+
+    def windowed_count(pairs: np.ndarray, position: np.ndarray) -> int:
+        """Events on pairs with both endpoints at 0-based positions below `window`."""
+        inside = np.maximum(position[ii], position[jj]) < window
+        return int(np.count_nonzero(inside[pairs]))
 
     base = seed_list(seed)
     identity = np.arange(n)
     plain = np.empty(seed_count)
     for r in range(seed_count):
-        path = simulate(model, n, horizon, base + [0, r], params)
-        plain[r] = windowed_count(path, identity)
+        plain[r] = windowed_count(event_pairs(base + [0, r]), identity)
 
     relabeled = np.empty(seed_count)
     for r in range(seed_count):
-        path = simulate(model, n, horizon, base + [1, r], params)
+        pairs = event_pairs(base + [1, r])
         sigma = np.random.default_rng(base + [2, r]).permutation(n)
-        relabeled[r] = windowed_count(path, np.argsort(sigma))
+        relabeled[r] = windowed_count(pairs, np.argsort(sigma))
 
     ks = stats.ks_2samp(plain, relabeled, method="asymp")
     return ExchangeabilityReport(

@@ -193,12 +193,8 @@ def test_event_index_is_cached_read_only_and_outside_eq():
     assert all(idx.next_same[k] == path.event_count for k in last.values())
 
 
-def oracle_edge_flip(n, rate, init_density=0.5, horizon=1.0, seed=0,
-                     boost_edge=None, boost_factor=1.0):
-    """The edge-flip simulator with two lexsorts: one by (pair, time) for the
-    alternating values, one by (time, i, j) for the event order."""
-    if not isinstance(rate, PiecewiseRate):
-        rate = PiecewiseRate.constant(rate)
+def oracle_draw(n, rate, init_density, horizon, seed, boost_edge, boost_factor):
+    """(initial pair vector, times, pair ids) of the edge-flip simulator, in draw order."""
     rng = np.random.default_rng(seed)
     npairs = num_pairs(n)
     init_vec = rng.random(npairs) < init_density
@@ -218,7 +214,17 @@ def oracle_edge_flip(n, rate, init_density=0.5, horizon=1.0, seed=0,
     else:
         times, pairs = np.zeros(0), np.zeros(0, dtype=np.int64)
     times = np.where(times <= 0.0, np.nextafter(0.0, 1.0), times)
+    return init_vec, times, pairs
 
+
+def oracle_edge_flip(n, rate, init_density=0.5, horizon=1.0, seed=0,
+                     boost_edge=None, boost_factor=1.0):
+    """The edge-flip simulator with two lexsorts: one by (pair, time) for the
+    alternating values, one by (time, i, j) for the event order."""
+    if not isinstance(rate, PiecewiseRate):
+        rate = PiecewiseRate.constant(rate)
+    init_vec, times, pairs = oracle_draw(n, rate, init_density, horizon, seed,
+                                         boost_edge, boost_factor)
     order = np.lexsort((times, pairs))
     sp = pairs[order]
     e = sp.shape[0]
@@ -306,11 +312,18 @@ class CoarseClock:
 
 def test_simulate_matches_oracle_when_times_tie(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", CoarseClock)
+    time_sort_misorders = []
     for seed in range(5):
         path = simulate_edge_flip(7, 3.0, seed=seed, boost_edge=(2, 5), boost_factor=4.0)
         assert len(np.unique(path.times)) < path.event_count
         assert_same_path(path, oracle_edge_flip(7, 3.0, seed=seed, boost_edge=(2, 5),
                                                 boost_factor=4.0))
+        # a sort by time alone would order these ties wrongly
+        _, times, pairs = oracle_draw(7, PiecewiseRate.constant(3.0), 0.5, 1.0, seed,
+                                      (2, 5), 4.0)
+        time_sort_misorders.append(not np.array_equal(pairs[np.argsort(times)],
+                                                      pairs[np.lexsort((pairs, times))]))
+    assert any(time_sort_misorders)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +442,18 @@ def test_simulate_refuses_oversized_vertex_count(model):
     with pytest.raises(ValueError, match=rf"^n=5794 has 16782321 vertex pairs, "
                                          rf"over the limit of {MAX_VERTEX_PAIRS}$"):
         simulate(model, 5794, 1.0, 0, {})
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_exchangeability_check_refuses_oversized_vertex_count(model):
+    with pytest.raises(ValueError, match=rf"^n=5794 has 16782321 vertex pairs, "
+                                         rf"over the limit of {MAX_VERTEX_PAIRS}$"):
+        exchangeability_check(model, {}, 5794, seed_count=20)
+
+
+def test_exchangeability_check_refuses_unknown_model():
+    with pytest.raises(ValueError, match="unknown model 'nope'"):
+        exchangeability_check("nope", {}, 16, seed_count=20)
 
 
 # ---------------------------------------------------------------------------
@@ -806,6 +831,13 @@ def oracle_exchangeability(model, params, n, seed_count, seed, window):
     ("edge-flip-planted", {"rate": 1.0, "boost_edge": (1, 2), "boost_factor": 40.0}, 16, 8),
     ("edge-flip-planted", {"rate": 1.0, "boost_edge": (3, 5), "boost_factor": 20.0}, 12, 2),
     ("graphon-jump", {"grids": [[[0.3, 0.6], [0.6, 0.2]]], "global_rate": 3.0}, 12, 5),
+    # the planted-asymmetry-ks check's generator, size and window
+    ("edge-flip-planted",
+     {"rate": 2.0, "init_density": 0.5, "boost_edge": (1, 2), "boost_factor": 10.0}, 64, 8),
+    ("edge-flip", {"rate": PiecewiseRate((0.0, 0.3, 0.8), (4.0, 0.0, 1.5))}, 14, 6),
+    ("edge-flip-planted",
+     {"rate": PiecewiseRate((0.0, 0.5), (0.5, 3.0)), "boost_edge": (4, 2), "boost_factor": 30.0},
+     10, 4),
 ])
 @pytest.mark.parametrize("seed", [0, [7, 1]])
 def test_exchangeability_check_matches_rebuilt_paths(model, params, n, window, seed):
