@@ -16,7 +16,7 @@ from .density import limit_vector, save_density_vector, weight_family, total_var
 from .graphs import DataError, read_edge_list
 from .process import MODELS, jump_counts, load_path, save_path, simulate, snapshot
 from .variation import np_profile, variation_grid
-from .verify import run_verification
+from .verify import STATUSES, report_passes, run_verification
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -205,14 +205,21 @@ def cmd_report(args: argparse.Namespace) -> int:
     try:
         with open(args.report, "r", encoding="ascii") as fh:
             data = json.load(fh)
-        checks = data.get("checks", [])
-        width = max((len(c["name"]) for c in checks), default=4)
+        checks = data["checks"]
+        if not checks:  # no statuses to derive a verdict from
+            raise DataError(f"{args.report}: report lists no checks")
+        width = max(len(c["name"]) for c in checks)
         lines = [f"{'check'.ljust(width)}  status           lhs           rhs"]
         for c in checks:
+            if c["status"] not in STATUSES:
+                raise DataError(f"{args.report}: check {c['name']!r} has unknown status "
+                                f"{c['status']!r}; expected one of {', '.join(STATUSES)}")
             lhs = "-" if c.get("lhs") is None else f"{c['lhs']:.6g}"
             rhs = "-" if c.get("rhs") is None else f"{c['rhs']:.6g}"
             lines.append(f"{c['name'].ljust(width)}  {c['status']:<15}  {lhs:>12}  {rhs:>12}")
-        ok = bool(data.get("ok", False))
+        ok = report_passes(c["status"] for c in checks)  # the stored "ok" is not trusted
+    except DataError:
+        raise
     except json.JSONDecodeError as exc:
         raise DataError(f"{args.report}: line {exc.lineno}: invalid JSON ({exc.msg})") from None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

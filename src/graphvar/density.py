@@ -357,17 +357,6 @@ class WeightFunction:
             raise ValueError(f"weight family {self.name!r} gives f({n}) = {v}")
         return v
 
-    @classmethod
-    def from_table(cls, table: dict[int, float], name: str = "table") -> "WeightFunction":
-        frozen = dict(table)
-
-        def fn(n: int) -> float:
-            if n not in frozen:
-                raise ValueError(f"weight table has no level {n}")
-            return frozen[n]
-
-        return cls(name, fn)
-
 
 WEIGHT_FAMILIES = {
     "two_pow_neg_n": WeightFunction("two_pow_neg_n", lambda n: 2.0 ** (-n)),

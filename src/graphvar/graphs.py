@@ -202,12 +202,6 @@ class InjectiveMap:
             raise ValueError("not a permutation of [n]")
         return m
 
-    def compose(self, other: "InjectiveMap") -> "InjectiveMap":
-        """self after other: (self.compose(other))(k) = self(other(k))."""
-        if max(other.image) > self.domain_size:
-            raise ValueError("composition out of range")
-        return InjectiveMap(tuple(self.image[v - 1] for v in other.image))
-
 
 def restrict(g: AdjacencyGraph, n: int) -> AdjacencyGraph:
     """Induced subgraph on vertices 1..n."""

@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .graphs import (
     MAX_VERTEX_PAIRS,
@@ -774,6 +773,8 @@ def exchangeability_check(
         pairs = event_pairs(base + [1, r])
         sigma = np.random.default_rng(base + [2, r]).permutation(n)
         relabeled[r] = windowed_count(pairs, np.argsort(sigma))
+
+    from scipy import stats  # imported here: it costs most of a cold `import graphvar`
 
     ks = stats.ks_2samp(plain, relabeled, method="asymp")
     return ExchangeabilityReport(

@@ -45,11 +45,6 @@ class StoppingLadder:
         return len(self.taus)
 
     @property
-    def next_tau(self) -> float:
-        """The first crossing beyond the horizon, by convention infinite."""
-        return math.inf
-
-    @property
     def type_a_count(self) -> int:
         return sum(self.type_a)
 
@@ -230,10 +225,6 @@ class DyadicDiagnostic:
     def raw_violations(self) -> int:
         return sum(not v for v in self.raw_increase)
 
-    @property
-    def limit_estimate(self) -> float:
-        return self.a_values[-1]
-
 
 def dyadic_diagnostic(path: EventLogPath, p0: float, k_max: int) -> DyadicDiagnostic:
     """Halving diagnostic; refuses grids that descend below the density quantum."""
@@ -291,20 +282,6 @@ class VariationGrid:
             if c.p == p and c.window == window and c.alpha == alpha:
                 return c
         raise KeyError(f"no cell for (p={p}, window={window}, alpha={alpha})")
-
-    def window_profile(self, p: float, alpha: float) -> list[VariationCell]:
-        return [c for c in self.cells if c.p == p and c.alpha == alpha]
-
-    def converged_value(
-        self, p: float, alpha: float, rel_tol: float = 1e-2
-    ) -> tuple[float, bool, float]:
-        """Estimate at the largest window plus a last-step relative delta check."""
-        prof = self.window_profile(p, alpha)
-        if len(prof) < 2:
-            return (prof[-1].value if prof else math.nan, False, math.inf)
-        last, prev = prof[-1], prof[-2]
-        delta = abs(last.value - prev.value) / max(abs(last.value), 1e-300)
-        return last.value, delta <= rel_tol, delta
 
 
 def default_windows(n: int) -> tuple[int, ...]:

@@ -1,12 +1,15 @@
 """Self-check harness: every inequality and contract the package relies on,
 run against fresh simulations and reported as one structured result per check.
 
-Each check states its inequality, the measured sides, and a status:
-"pass", "pass-with-slack" (holds only inside the Monte Carlo allowance),
-"fail", "skipped" (refused inputs, e.g. sub-quantum thresholds), or "error"
-(the check raised an unexpected exception; this fails the report).
-Checks derive every stream from the configured base seed, so two runs with
-the same configuration produce identical numbers.
+Each check body returns what it measured: its inequality, the two sides, and
+whether it held.  The runner (run_check) names and times the check and gives
+it a status: "pass", "pass-with-slack" (holds only inside the Monte Carlo
+allowance), "fail", "skipped" (refused inputs, e.g. sub-quantum thresholds),
+or "error" (the check raised an unexpected exception).  A report passes
+unless some check is "fail" or "error" (report_passes), and `graphvar
+report` applies the same rule to a saved report.  Checks derive every stream
+from the configured base seed, so two runs with the same configuration
+produce identical numbers.
 """
 
 from __future__ import annotations
@@ -47,11 +50,19 @@ from .variation import (
 )
 
 
+STATUSES = ("pass", "pass-with-slack", "fail", "skipped", "error")
+
+
+def report_passes(statuses) -> bool:
+    """The report verdict: no check failed or raised; skipped checks do not count."""
+    return all(s not in ("fail", "error") for s in statuses)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
     statement: str
-    status: str  # pass | pass-with-slack | fail | skipped | error
+    status: str  # one of STATUSES
     lhs: float | None
     rhs: float | None
     slack: float | None
@@ -75,7 +86,7 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.status not in ("fail", "error") for c in self.checks)
+        return report_passes(c.status for c in self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -93,48 +104,32 @@ class VerificationReport:
         return d
 
 
-def _finish(
-    name: str,
-    statement: str,
-    started: float,
-    ok: bool,
-    lhs: float | None,
-    rhs: float | None,
-    *,
-    needed_slack: bool = False,
-    stderr_budget: float | None = None,
-    details: dict | None = None,
-) -> CheckResult:
-    status = "fail" if not ok else "pass-with-slack" if needed_slack else "pass"
-    slack = None
-    if lhs is not None and rhs is not None:
-        lhs += 0.0  # normalize -0.0
-        rhs += 0.0
-        slack = rhs - lhs
-    return CheckResult(
-        name=name,
-        statement=statement,
-        status=status,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        stderr_budget=stderr_budget,
-        runtime_s=round(time.perf_counter() - started, 3),
-        details=details or {},
-    )
+@dataclass(frozen=True)
+class Measured:
+    """What a check body measured; run_check names, times and wraps it."""
+
+    statement: str
+    ok: bool
+    lhs: float | None
+    rhs: float | None
+    details: dict
+    needed_slack: bool = False  # holds only inside the Monte Carlo allowance
+    stderr_budget: float | None = None
+
+    @property
+    def status(self) -> str:
+        return "fail" if not self.ok else "pass-with-slack" if self.needed_slack else "pass"
 
 
 # ---------------------------------------------------------------------------
 # the checks
 
 
-def _check_density_normalization(cfg: RunConfig, adversarial: bool) -> CheckResult:
-    name = "density-normalization"
+def _check_density_normalization(cfg: RunConfig, adversarial: bool) -> Measured:
     statement = (
         "pattern densities at each level sum to exactly 1 "
         "(Monte Carlo levels within 3 combined SE)"
     )
-    t0 = time.perf_counter()
     worst_exact = 0
     worst_mc = 0.0
     budget_mc = math.inf
@@ -152,9 +147,8 @@ def _check_density_normalization(cfg: RunConfig, adversarial: bool) -> CheckResu
                 worst_mc = max(worst_mc, abs(sum(lv.t) - 1.0))
                 budget_mc = min(budget_mc, 3.0 * float(np.sqrt(np.sum(se**2))))
     ok = worst_exact == 0 and worst_mc <= budget_mc
-    return _finish(
-        name, statement, t0, ok,
-        lhs=float(worst_exact), rhs=0.0,
+    return Measured(
+        statement, ok, lhs=float(worst_exact), rhs=0.0,
         needed_slack=worst_mc > 1e-12,  # MC sums are 1 up to float rounding
         stderr_budget=budget_mc,
         details={
@@ -167,10 +161,8 @@ def _check_density_normalization(cfg: RunConfig, adversarial: bool) -> CheckResu
     )
 
 
-def _check_lipschitz_margin(cfg: RunConfig, adversarial: bool) -> CheckResult:
-    name = "lipschitz-margin"
+def _check_lipschitz_margin(cfg: RunConfig, adversarial: bool) -> Measured:
     statement = "|t(F;G) - t(F;H)| <= C(k,2) * edit_density(G, H), exact rationals"
-    t0 = time.perf_counter()
     rng = np.random.default_rng([cfg.seed, 102])
     worst = math.inf
     for r in range(100):
@@ -191,9 +183,8 @@ def _check_lipschitz_margin(cfg: RunConfig, adversarial: bool) -> CheckResult:
         if not rep.ok:
             break
     ok = worst >= 0.0
-    return _finish(
-        name, statement, t0, ok,
-        lhs=-worst, rhs=0.0,
+    return Measured(
+        statement, ok, lhs=-worst, rhs=0.0,
         details={"triples": 100, "pattern_levels": [2, 3], "min_margin": worst},
     )
 
@@ -201,13 +192,11 @@ def _check_lipschitz_margin(cfg: RunConfig, adversarial: bool) -> CheckResult:
 _LADDER_GRID_NOTE = "grid values below the density quantum are skipped"
 
 
-def _check_jump_count_bound(cfg: RunConfig, adversarial: bool) -> CheckResult:
-    name = "jump-count-bound"
+def _check_jump_count_bound(cfg: RunConfig, adversarial: bool) -> Measured:
     statement = (
         "max per-edge jump count >= sup over the threshold grid of p * n_p - 1, "
         "within one density quantum"
     )
-    t0 = time.perf_counter()
     worst = math.inf
     rows = []
     for r in range(20):
@@ -218,22 +207,19 @@ def _check_jump_count_bound(cfg: RunConfig, adversarial: bool) -> CheckResult:
                      "sup_product": rep.sup_product, "margin": rep.margin})
     quantum = density_quantum(128)
     ok = worst >= -quantum
-    return _finish(
-        name, statement, t0, ok,
-        lhs=-worst, rhs=quantum,
+    return Measured(
+        statement, ok, lhs=-worst, rhs=quantum,
         details={"seeds": 20, "vertices": 128, "rate": 4.0,
                  "p_grid": list(cfg.p_grid), "note": _LADDER_GRID_NOTE,
                  "per_seed": rows},
     )
 
 
-def _check_dyadic_monotonicity(cfg: RunConfig, adversarial: bool) -> CheckResult:
-    name = "dyadic-monotonicity"
+def _check_dyadic_monotonicity(cfg: RunConfig, adversarial: bool) -> Measured:
     statement = (
         "a_k = p_k (n_{p_k} - 1) along threshold halving satisfies "
         "a_{k+1} >= a_k - p_{k+1}; raw decreases stay below 10%"
     )
-    t0 = time.perf_counter()
     slack_violations = 0
     raw_violations = 0
     comparisons = 0
@@ -245,9 +231,8 @@ def _check_dyadic_monotonicity(cfg: RunConfig, adversarial: bool) -> CheckResult
         comparisons += len(diag.raw_increase)
     raw_fraction = raw_violations / comparisons
     ok = slack_violations == 0 and raw_fraction < 0.10
-    return _finish(
-        name, statement, t0, ok,
-        lhs=raw_fraction, rhs=0.10,
+    return Measured(
+        statement, ok, lhs=raw_fraction, rhs=0.10,
         details={"seeds": 20, "p0": 0.2, "k_max": 3,
                  "slack_violations": slack_violations,
                  "raw_violations": raw_violations,
@@ -255,13 +240,11 @@ def _check_dyadic_monotonicity(cfg: RunConfig, adversarial: bool) -> CheckResult
     )
 
 
-def _check_alpha_variation_bound(cfg: RunConfig, adversarial: bool) -> CheckResult:
-    name = "alpha-variation-bound"
+def _check_alpha_variation_bound(cfg: RunConfig, adversarial: bool) -> Measured:
     statement = (
         "sum over ladder segments of the relabeling-averaged prefix distance to "
         "the alpha <= C_n(alpha) * sup_grid p * n_p, with a 3 SE allowance"
     )
-    t0 = time.perf_counter()
     path = simulate_edge_flip(256, 4.0, 0.5, 1.0, [cfg.seed, 105])
     rep = variation_bound_check(
         path, ps=(0.1, 0.05), alphas=cfg.alphas, k_perm=cfg.k_perm,
@@ -284,10 +267,8 @@ def _check_alpha_variation_bound(cfg: RunConfig, adversarial: bool) -> CheckResu
         if margin < worst_margin:
             worst_margin = margin
             worst = row
-    return _finish(
-        name, statement, t0, ok,
-        lhs=worst.lhs if worst else None,
-        rhs=worst.rhs if worst else None,
+    return Measured(
+        statement, ok, lhs=worst.lhs if worst else None, rhs=worst.rhs if worst else None,
         needed_slack=needed_slack,
         stderr_budget=3 * worst.stderr if worst else None,
         details={"vertices": 256, "rate": 4.0, "k_perm": cfg.k_perm,
@@ -295,13 +276,11 @@ def _check_alpha_variation_bound(cfg: RunConfig, adversarial: bool) -> CheckResu
     )
 
 
-def _check_prefix_series_identity(cfg: RunConfig, adversarial: bool) -> CheckResult:
-    name = "prefix-series-identity"
+def _check_prefix_series_identity(cfg: RunConfig, adversarial: bool) -> Measured:
     statement = (
         "relabeling average of d^alpha for an iid-p disagreement pattern matches "
         "sum_n n^-alpha (1-p)^C(n,2) (1 - (1-p)^n) within 3 SE"
     )
-    t0 = time.perf_counter()
     ok = True
     needed_slack = False
     worst_gap = 0.0
@@ -320,21 +299,18 @@ def _check_prefix_series_identity(cfg: RunConfig, adversarial: bool) -> CheckRes
         budget = min(budget, 3 * se)
         rows.append({"p": p, "estimate": est, "stderr": se,
                      "series": target, "gap": gap})
-    return _finish(
-        name, statement, t0, ok,
-        lhs=worst_gap, rhs=0.0,
+    return Measured(
+        statement, ok, lhs=worst_gap, rhs=0.0,
         needed_slack=needed_slack, stderr_budget=budget,
         details={"alpha": 3.0, "vertices": 256, "k_perm": 10_000, "cases": rows},
     )
 
 
-def _check_limit_tv_bound(cfg: RunConfig, adversarial: bool) -> CheckResult:
-    name = "limit-tv-bound"
+def _check_limit_tv_bound(cfg: RunConfig, adversarial: bool) -> Measured:
     statement = (
         "density-vector movement along the ladder <= "
         "p * n_p * sum_n f(n) C(n,2) 2^C(n,2), exact densities, zero tolerance"
     )
-    t0 = time.perf_counter()
     path = simulate_edge_flip(128, 4.0, 0.5, 1.0, [cfg.seed, 107])
     weights = weight_family(cfg.weight_family)
     worst = math.inf
@@ -348,27 +324,23 @@ def _check_limit_tv_bound(cfg: RunConfig, adversarial: bool) -> CheckResult:
         worst = min(worst, rep.margin)
         rows.append({"p": p, "n_p": rep.n_p, "tv": rep.tv, "bound": rep.bound,
                      "margin": rep.margin, "type_a": rep.type_a_count})
-    return _finish(
-        name, statement, t0, ok,
-        lhs=-worst, rhs=0.0,
+    return Measured(
+        statement, ok, lhs=-worst, rhs=0.0,
         details={"vertices": 128, "rate": 4.0, "n_max": 3,
                  "weight_family": weights.name, "cases": rows},
     )
 
 
-def _check_weight_classification(cfg: RunConfig, adversarial: bool) -> CheckResult:
-    name = "weight-classification"
+def _check_weight_classification(cfg: RunConfig, adversarial: bool) -> Measured:
     statement = (
         "f(n) = 2^-n^2 makes sum_n f(n) C(n,2) 2^C(n,2) convergent; "
         "f(n) = 2^-n makes it divergent"
     )
-    t0 = time.perf_counter()
     a = weight_admissibility(WEIGHT_FAMILIES["two_pow_neg_nsq"])
     b = weight_admissibility(WEIGHT_FAMILIES["two_pow_neg_n"])
     ok = a.classification == "convergent" and b.classification == "divergent"
-    return _finish(
-        name, statement, t0, ok,
-        lhs=a.ratios[-1], rhs=1.0,
+    return Measured(
+        statement, ok, lhs=a.ratios[-1], rhs=1.0,
         details={
             "two_pow_neg_nsq": {"classification": a.classification,
                                 "tail_bound": a.tail_bound,
@@ -382,54 +354,46 @@ def _check_weight_classification(cfg: RunConfig, adversarial: bool) -> CheckResu
 _KS_PARAMS = {"rate": 2.0, "init_density": 0.5}
 
 
-def _check_exchangeability_ks(cfg: RunConfig, adversarial: bool) -> CheckResult:
-    name = "exchangeability-ks"
+def _check_exchangeability_ks(cfg: RunConfig, adversarial: bool) -> Measured:
     statement = (
         "windowed total-jumps distribution is invariant under vertex "
         "relabeling (two-sample KS p > 0.01)"
     )
-    t0 = time.perf_counter()
     model = "edge-flip-planted" if adversarial else "edge-flip"
     rep = exchangeability_check(
         model, dict(_KS_PARAMS), n=64, seed_count=50, seed=[cfg.seed, 109], window=8,
     )
     ok = rep.p_value > 0.01
-    return _finish(
-        name, statement, t0, ok,
-        lhs=rep.p_value, rhs=0.01,
+    return Measured(
+        statement, ok, lhs=rep.p_value, rhs=0.01,
         details={"model": model, "adversarial": adversarial,
                  "window": 8, "seed_count": 50,
                  "ks_statistic": rep.ks_statistic},
     )
 
 
-def _check_planted_asymmetry_ks(cfg: RunConfig, adversarial: bool) -> CheckResult:
-    name = "planted-asymmetry-ks"
+def _check_planted_asymmetry_ks(cfg: RunConfig, adversarial: bool) -> Measured:
     statement = (
         "a 10x intensity boost on one edge is detected by the windowed "
         "relabeling KS test (p < 0.01)"
     )
-    t0 = time.perf_counter()
     params = dict(_KS_PARAMS, boost_edge=(1, 2), boost_factor=cfg.boost_factor)
     rep = exchangeability_check(
         "edge-flip-planted", params, n=64, seed_count=200, seed=[cfg.seed, 112], window=8,
     )
     ok = rep.p_value < 0.01
-    return _finish(
-        name, statement, t0, ok,
-        lhs=rep.p_value, rhs=0.01,
+    return Measured(
+        statement, ok, lhs=rep.p_value, rhs=0.01,
         details={"boost_factor": cfg.boost_factor, "window": 8,
                  "seed_count": 200, "ks_statistic": rep.ks_statistic},
     )
 
 
-def _check_slln_convergence(cfg: RunConfig, adversarial: bool) -> CheckResult:
-    name = "slln-convergence"
+def _check_slln_convergence(cfg: RunConfig, adversarial: bool) -> Measured:
     statement = (
         "edge density of er(512, 0.4) sits within 4 binomial SD of 0.4 and the "
         "level-to-level deltas shrink in at least 2/3 of steps"
     )
-    t0 = time.perf_counter()
     levels = (64, 128, 256, 512)
     sigma = math.sqrt(0.4 * 0.6 / num_pairs(512))
     worst = 0.0
@@ -445,21 +409,18 @@ def _check_slln_convergence(cfg: RunConfig, adversarial: bool) -> CheckResult:
             shrink += deltas[i + 1] <= deltas[i]
     fraction = shrink / total
     ok = worst <= 4 * sigma and fraction >= 2 / 3
-    return _finish(
-        name, statement, t0, ok,
-        lhs=worst, rhs=4 * sigma,
+    return Measured(
+        statement, ok, lhs=worst, rhs=4 * sigma,
         details={"seeds": 20, "levels": list(levels),
                  "shrink_fraction": fraction, "shrink_needed": 2 / 3},
     )
 
 
-def _check_determinism_roundtrip(cfg: RunConfig, adversarial: bool) -> CheckResult:
-    name = "determinism-roundtrip"
+def _check_determinism_roundtrip(cfg: RunConfig, adversarial: bool) -> Measured:
     statement = (
         "simulate -> save -> load -> save is byte-identical; equal seeds give "
         "equal paths and ladder profiles; different seeds differ"
     )
-    t0 = time.perf_counter()
     model, params = cfg.generator()
     path1 = simulate(model, 64, cfg.horizon, [cfg.seed, 111], params)
     tmp = tempfile.mkdtemp(prefix="graphvar-verify-")
@@ -488,9 +449,8 @@ def _check_determinism_roundtrip(cfg: RunConfig, adversarial: bool) -> CheckResu
                 os.remove(f)
         os.rmdir(tmp)
     ok = all([roundtrip_equal, bytes_equal, reseed_equal, profiles_equal, seeds_differ])
-    return _finish(
-        name, statement, t0, ok,
-        lhs=0.0 if ok else 1.0, rhs=0.0,
+    return Measured(
+        statement, ok, lhs=0.0 if ok else 1.0, rhs=0.0,
         details={"model": model, "events": path1.event_count,
                  "roundtrip_equal": roundtrip_equal, "bytes_equal": bytes_equal,
                  "reseed_equal": reseed_equal, "profiles_equal": profiles_equal,
@@ -514,9 +474,33 @@ CHECKS = {
 }
 
 
-def _not_run(name: str, statement: str, status: str, started: float, details: dict) -> CheckResult:
-    return CheckResult(name, statement, status, lhs=None, rhs=None, slack=None, stderr_budget=None,
-                       runtime_s=round(time.perf_counter() - started, 3), details=details)
+def run_check(name: str, cfg: RunConfig, adversarial: bool = False) -> CheckResult:
+    """Run the check registered under `name` and time it.
+
+    A check that raises ValueError refused its inputs and is "skipped"; any
+    other exception is recorded as "error", which fails the report.
+    """
+    check = CHECKS[name]
+    t0 = time.perf_counter()
+    try:
+        m = check(cfg, adversarial)
+        status = m.status
+    except ValueError as exc:
+        m = Measured("check refused its inputs", False, None, None, {"reason": str(exc)})
+        status = "skipped"
+    except Exception as exc:  # one broken check must not end the report
+        m = Measured("check raised an unexpected exception", False, None, None,
+                     {"error": f"{type(exc).__name__}: {exc}",
+                      "traceback": traceback.format_exc()})
+        status = "error"
+    runtime_s = round(time.perf_counter() - t0, 3)
+    lhs, rhs, slack = m.lhs, m.rhs, None
+    if lhs is not None and rhs is not None:
+        lhs += 0.0  # normalize -0.0
+        rhs += 0.0
+        slack = rhs - lhs
+    return CheckResult(name, m.statement, status, lhs, rhs, slack, m.stderr_budget,
+                       runtime_s, m.details)
 
 
 def run_verification(
@@ -528,9 +512,7 @@ def run_verification(
 
     With adversarial=True the exchangeability check is pointed at the planted
     generator, so it must fail — a live demonstration that the KS harness has
-    power, and that a failing check drives a failing report.  A check that
-    raises ValueError refused its inputs and is "skipped"; any other exception
-    is recorded as "error", which fails the report.
+    power, and that a failing check drives a failing report.
     """
     cfg = cfg or RunConfig()
     names = sorted(CHECKS)
@@ -540,18 +522,7 @@ def run_verification(
             raise ValueError(
                 f"--only {only!r} matches no check; available: {', '.join(sorted(CHECKS))}"
             )
-    results = []
-    for n in names:
-        t0 = time.perf_counter()
-        try:
-            results.append(CHECKS[n](cfg, adversarial))
-        except ValueError as exc:
-            results.append(_not_run(n, "check refused its inputs", "skipped", t0,
-                                    {"reason": str(exc)}))
-        except Exception as exc:  # one broken check must not end the report
-            results.append(_not_run(n, "check raised an unexpected exception", "error", t0,
-                                    {"error": f"{type(exc).__name__}: {exc}",
-                                     "traceback": traceback.format_exc()}))
     return VerificationReport(
-        config=cfg.to_dict(), adversarial=adversarial, checks=tuple(results)
+        config=cfg.to_dict(), adversarial=adversarial,
+        checks=tuple(run_check(n, cfg, adversarial) for n in names),
     )

@@ -10,8 +10,9 @@ documented allowance.  Lines collect in LINES and conftest prints them in an
 import sys
 import time
 
+from graphvar import verify
 from graphvar.config import RunConfig
-from graphvar.verify import CHECKS, run_verification
+from graphvar.verify import run_verification
 
 CFG = RunConfig()
 
@@ -28,7 +29,7 @@ def record(k: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def run_check(name: str):
-    return CHECKS[name](CFG, False)
+    return verify.run_check(name, CFG)
 
 
 def finish(k: int, label: str, res, require_clean: bool = False) -> None:

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -540,6 +543,33 @@ def test_report_failing_file(tmp_path, capsys):
     assert main(["report", "--report", str(tmp_path / "missing.json")]) == 3
 
 
+@pytest.mark.parametrize("stored_ok", ["false", True, None])
+def test_report_verdict_comes_from_the_statuses(tmp_path, capsys, stored_ok):
+    # the stored "ok" field is ignored: a failing check fails the report
+    checks = [{"name": "a", "status": "pass", "lhs": 0.0, "rhs": 1.0},
+              {"name": "b", "status": "fail", "lhs": 1.0, "rhs": 0.5}]
+    f = tmp_path / "r.json"
+    f.write_text(json.dumps({"ok": stored_ok, "checks": checks}))
+    assert main(["report", "--report", str(f)]) == 1
+    assert "result: FAIL" in capsys.readouterr().out
+    checks[1]["status"] = "skipped"
+    f.write_text(json.dumps({"ok": stored_ok, "checks": checks}))
+    assert main(["report", "--report", str(f)]) == 0
+    assert "result: OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("status", ["passed", "PASS", None, ["fail"]])
+def test_report_unknown_status_exits_3(tmp_path, capsys, status):
+    f = tmp_path / "r.json"
+    f.write_text(json.dumps({"ok": True, "checks": [
+        {"name": "a", "status": "pass", "lhs": 0.0, "rhs": 1.0},
+        {"name": "odd-check", "status": status, "lhs": 0.0, "rhs": 1.0}]}))
+    assert main(["report", "--report", str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{f}: check 'odd-check' has unknown status {status!r}" in captured.err
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -547,6 +577,8 @@ def test_report_failing_file(tmp_path, capsys):
         ('{"checks": [{}]}', "not a verification report: KeyError('name')"),
         ('{"checks": [{"name": "x", "status": "fail", "lhs": [1]}]}', "not a verification report"),
         ("[1, 2]", "not a verification report"),
+        ("{}", "not a verification report: KeyError('checks')"),
+        ('{"ok": true, "checks": []}', "report lists no checks"),
     ],
 )
 def test_report_malformed_file_exits_3(tmp_path, capsys, text, message):
@@ -720,3 +752,10 @@ def test_config_values_of_wrong_type_raise_data_error(items):
         RunConfig(**parse_config_text(text))
     except ValueError:
         pass
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is imported by the one KS call that needs it, not by every command
+    code = "import sys, graphvar.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

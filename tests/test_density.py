@@ -319,10 +319,6 @@ def test_weight_families_and_positivity():
     zero = WeightFunction("zero", lambda n: 0.0)
     with pytest.raises(ValueError):
         zero(3)
-    table = WeightFunction.from_table({2: 0.25}, "tbl")
-    assert table(2) == 0.25
-    with pytest.raises(ValueError, match="no level"):
-        table(3)
 
 
 def test_limit_metric_hand_value():

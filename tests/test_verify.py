@@ -1,5 +1,9 @@
+import math
+import time
+
 import pytest
 
+from graphvar import verify
 from graphvar.config import RunConfig
 from graphvar.verify import CHECKS, CheckResult, run_verification
 
@@ -85,3 +89,51 @@ def test_adversarial_flag_recorded_and_fails():
     assert rep.adversarial is True
     assert not rep.ok
     assert rep.checks[0].status == "fail"
+
+
+def test_runner_names_the_check_by_its_key(monkeypatch):
+    # the same body under a second key reports that key
+    monkeypatch.setitem(CHECKS, "weight-alias", CHECKS["weight-classification"])
+    rep = run_verification(only="weight-alias")
+    assert [c.name for c in rep.checks] == ["weight-alias"]
+    assert rep.checks[0].status == "pass"
+
+
+def test_runner_times_a_check_that_raises(monkeypatch):
+    def broken(cfg, adversarial):
+        time.sleep(0.01)
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(CHECKS, "broken", broken)
+    c = verify.run_check("broken", RunConfig())
+    assert c.status == "error" and c.details["error"] == "RuntimeError: boom"
+    assert c.runtime_s >= 0.01  # measured by the runner around the body
+
+
+@pytest.mark.parametrize(
+    "ok,lhs,rhs,needed_slack,status,slack",
+    [
+        (False, 2.0, 1.0, True, "fail", -1.0),
+        (True, 2.0, 1.0, True, "pass-with-slack", -1.0),
+        (True, 0.5, 1.0, False, "pass", 0.5),
+    ],
+)
+def test_runner_derives_status_and_slack(monkeypatch, ok, lhs, rhs, needed_slack, status, slack):
+    measured = verify.Measured("s", ok, lhs, rhs, {"k": 1}, needed_slack=needed_slack)
+    monkeypatch.setitem(CHECKS, "canned", lambda cfg, adversarial: measured)
+    c = verify.run_check("canned", RunConfig())
+    assert (c.name, c.statement, c.status, c.slack) == ("canned", "s", status, slack)
+    assert (c.lhs, c.rhs, c.details) == (lhs, rhs, {"k": 1})
+
+
+@pytest.mark.parametrize("lhs,rhs", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+def test_runner_normalizes_negative_zero(monkeypatch, lhs, rhs):
+    measured = verify.Measured("s", True, lhs, rhs, {})
+    monkeypatch.setitem(CHECKS, "canned", lambda cfg, adversarial: measured)
+    c = verify.run_check("canned", RunConfig())
+    assert [math.copysign(1.0, v) for v in (c.lhs, c.rhs, c.slack)] == [1.0, 1.0, 1.0]
+
+
+def test_runner_rejects_an_unknown_name():
+    with pytest.raises(KeyError):
+        verify.run_check("no-such-check", RunConfig())
