@@ -135,8 +135,7 @@ class AdjacencyGraph:
             raise ValueError("adjacency matrix must have zero diagonal")
         if not np.array_equal(b, b.T):
             raise ValueError("adjacency matrix must be symmetric")
-        iu = np.triu_indices(b.shape[0], 1)
-        return cls(b.shape[0], _pack(b[iu]))
+        return cls(b.shape[0], _pack(b[pair_endpoints(b.shape[0])]))
 
     @classmethod
     def from_pair_vector(cls, n: int, vec: np.ndarray) -> "AdjacencyGraph":
@@ -156,10 +155,9 @@ class AdjacencyGraph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as 1-indexed (i, j) with i < j, in pair-index order."""
-        vec = self.to_pair_vector()
+        k = np.flatnonzero(self.to_pair_vector())
         ii, jj = pair_endpoints(self.n)
-        for k in np.flatnonzero(vec):
-            yield int(ii[k]) + 1, int(jj[k]) + 1
+        return zip((ii[k] + 1).tolist(), (jj[k] + 1).tolist())
 
     def to_pair_vector(self) -> np.ndarray:
         return _unpack(self.bits, num_pairs(self.n))
@@ -167,8 +165,7 @@ class AdjacencyGraph:
     def to_matrix(self) -> np.ndarray:
         """Dense symmetric boolean adjacency matrix (0-indexed)."""
         mat = np.zeros((self.n, self.n), dtype=bool)
-        iu = np.triu_indices(self.n, 1)
-        mat[iu] = self.to_pair_vector()
+        mat[pair_endpoints(self.n)] = self.to_pair_vector()
         return mat | mat.T
 
     def __repr__(self) -> str:

@@ -153,9 +153,7 @@ class EventLogPath:
         e = self.event_count
         pids = self.pair_ids
         itype = np.int32 if e < np.iinfo(np.int32).max else np.int64
-        # by pair, then event order: the keys are unique, so the fast unstable
-        # sort gives the stable order
-        order = np.argsort(pids * e + np.arange(e))
+        order = _pair_order(pids, num_pairs(self.n))
         same = pids[order[1:]] == pids[order[:-1]]
         prev, nxt = order[:-1][same], order[1:][same]
         next_same = np.full(e, e, dtype=itype)
@@ -268,6 +266,18 @@ class JumpCounts:
         return float(self.counts.mean()) if self.counts.size else 0.0
 
 
+def _pair_order(pids: np.ndarray, npairs: int) -> np.ndarray:
+    """Event indices sorted by pair id, then by event index.
+
+    When every id fits uint16, numpy's stable sort is a radix sort.  Above
+    that the keys pid * e + index are unique, so the unstable sort gives the
+    same order (a stable int64 sort is about 4x slower).
+    """
+    if npairs <= 1 << 16:
+        return np.argsort(pids.astype(np.uint16), kind="stable")
+    return np.argsort(pids * pids.shape[0] + np.arange(pids.shape[0]))
+
+
 class _EdgeFlipDraw(NamedTuple):
     """What the edge-flip draw stage makes, in draw order (not time order)."""
 
@@ -351,10 +361,9 @@ def simulate_edge_flip(
         order = np.lexsort((draw.pairs, draw.times))
         times = draw.times[order]
     pairs = draw.pairs[order]
-    # alternating values per edge, starting opposite the initial state; by
-    # pair, then event order (unique keys, so the unstable sort is stable)
+    # alternating values per edge, starting opposite the initial state
     e = pairs.shape[0]
-    order = np.argsort(pairs * e + np.arange(e))
+    order = _pair_order(pairs, num_pairs(n))
     sp = pairs[order]
     starts = np.r_[0, np.flatnonzero(np.diff(sp)) + 1]
     occ = np.arange(e) - np.repeat(starts, np.diff(np.r_[starts, e]))
@@ -530,14 +539,17 @@ def jump_counts(path: EventLogPath) -> JumpCounts:
 
 # One event line exactly as save_path writes it.  The numbers follow the JSON
 # grammar, so the fast loader accepts no number json.loads would reject;
-# endpoints of up to nine digits fit int32.
+# endpoints of up to nine digits fit int32 and are exact in float64.
 _EVENT_LINE = re.compile(
-    r'^\{"i": ([1-9][0-9]{0,8}), "j": ([1-9][0-9]{0,8}), '
-    r'"t": (-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?), '
-    r'"type": "ev", "v": ([01])\}$',
+    r'^\{"i": [1-9][0-9]{0,8}, "j": [1-9][0-9]{0,8}, '
+    r'"t": -?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?, '
+    r'"type": "ev", "v": [01]\}$',
     re.MULTILINE,
 )
 _CHUNK_CHARS = 1 << 18  # event text parsed at once; bounds the loader's memory
+# %r of a finite float is the text json.dumps writes for it
+_EVENT_FMT = '{"i": %d, "j": %d, "t": %r, "type": "ev", "v": %d}\n'
+_SAVE_CHUNK = 4096  # events formatted at once; bounds the writer's memory
 
 
 def save_path(path: EventLogPath, file) -> None:
@@ -560,16 +572,13 @@ def save_path(path: EventLogPath, file) -> None:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         init = {"type": "init", "edges": [[i, j] for i, j in path.initial.edges()]}
         fh.write(json.dumps(init, sort_keys=True) + "\n")
-        # repr of a finite float is the text json.dumps writes for it
-        fh.writelines(
-            f'{{"i": {i}, "j": {j}, "t": {t!r}, "type": "ev", "v": {v}}}\n'
-            for t, i, j, v in zip(
-                path.times.tolist(),
-                path.edge_i.tolist(),
-                path.edge_j.tolist(),
-                path.values.tolist(),
-            )
-        )
+        cols = (path.edge_i, path.edge_j, path.times, path.values)
+        for lo in range(0, path.event_count, _SAVE_CHUNK):
+            k = min(_SAVE_CHUNK, path.event_count - lo)
+            flat = [None] * (4 * k)  # i, j, t, v of each event in turn
+            for c, col in enumerate(cols):
+                flat[c::4] = col[lo:lo + k].tolist()
+            fh.write(_EVENT_FMT * k % tuple(flat))
 
 
 def load_path(file) -> EventLogPath:
@@ -652,20 +661,22 @@ def _canonical_events(fh, n: int, horizon: float):
     """(times, i, j, values) of the remaining lines of fh, or None on any miss.
 
     A miss is a line not in save_path's layout (blank lines included) or a
-    chunk with an event out of range.
+    chunk with an event out of range.  Once the regular expression has
+    matched every line of a chunk, deleting the key text leaves the numbers
+    "i j t v" on each line, and one np.fromstring parses them all.
     """
     cols = [[np.zeros(0, dtype)] for dtype in (np.float64, np.int32, np.int32, np.int8)]
     while chunk := fh.readlines(_CHUNK_CHARS):
-        rows = _EVENT_LINE.findall("".join(chunk))
-        if len(rows) != len(chunk):
+        text = "".join(chunk)
+        if len(_EVENT_LINE.findall(text)) != len(chunk):
             return None
-        i, j, t, v = zip(*rows)
-        ei = np.array(list(map(int, i)), dtype=np.int32)
-        ej = np.array(list(map(int, j)), dtype=np.int32)
-        times = np.array(list(map(float, t)), dtype=np.float64)
+        digits = text.replace('"type": "ev", ', "").encode("ascii").translate(None, b'{}"ijtv:,')
+        rows = np.fromstring(digits, sep=" ").reshape(len(chunk), 4)
+        ei, ej = rows[:, 0].astype(np.int32), rows[:, 1].astype(np.int32)
+        times = rows[:, 2].copy()
         if not np.all((ei < ej) & (ej <= n) & (times > 0.0) & (times <= horizon)):
             return None
-        values = np.array(list(map(int, v)), dtype=np.int8)
+        values = rows[:, 3].astype(np.int8)
         for col, arr in zip(cols, (times, ei, ej, values)):
             col.append(arr)
     return tuple(np.concatenate(col) for col in cols)

@@ -58,6 +58,15 @@ def test_graph_construction_and_edges():
     assert AdjacencyGraph.empty(4).bits == 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 30])
+def test_edges_are_python_ints_in_pair_index_order(n):
+    g = er_sample(n, 0.4, seed=n)
+    edges = list(g.edges())
+    assert all(type(v) is int for edge in edges for v in edge)
+    idx = [pair_index(i, j, n) for i, j in edges]
+    assert idx == np.flatnonzero(g.to_pair_vector()).tolist()
+
+
 def test_self_loop_rejected():
     with pytest.raises(ValueError):
         AdjacencyGraph.from_edges(3, [(2, 2)])

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -19,6 +20,8 @@ from graphvar.graphs import (
     seed_list,
 )
 from graphvar.process import (
+    _EVENT_LINE,
+    _SAVE_CHUNK,
     MAX_VERTEX_PAIRS,
     MODELS,
     EdgeEvent,
@@ -33,6 +36,9 @@ from graphvar.process import (
     simulate_edge_flip,
     simulate_graphon_jump,
     snapshot,
+    _canonical_events,
+    _event_records,
+    _pair_order,
 )
 
 
@@ -191,6 +197,16 @@ def test_event_index_is_cached_read_only_and_outside_eq():
         assert idx.batch_end[k] == (k + 1 == len(t) or t[k + 1] != t[k])
         assert idx.batch_start[k] == t.index(t[k])
     assert all(idx.next_same[k] == path.event_count for k in last.values())
+
+
+@pytest.mark.parametrize("npairs", [1 << 16, (1 << 16) + 1])
+def test_pair_order_matches_unique_key_argsort(npairs):
+    rng = np.random.default_rng(npairs)
+    pids = rng.integers(npairs - 300, npairs, 20_000)  # many repeats, the top id among them
+    pids[:50] = rng.integers(0, npairs, 50)
+    assert pids.max() == npairs - 1
+    e = pids.shape[0]
+    assert np.array_equal(_pair_order(pids, npairs), np.argsort(pids * e + np.arange(e)))
 
 
 def oracle_draw(n, rate, init_density, horizon, seed, boost_edge, boost_factor):
@@ -572,6 +588,40 @@ def test_save_path_matches_json_dumps_writer_random(tmp_path_factory, path):
     assert_writer_matches_oracle(path, tmp_path_factory.mktemp("writer"))
 
 
+@pytest.mark.parametrize("events", [0, _SAVE_CHUNK - 1, _SAVE_CHUNK, _SAVE_CHUNK + 1])
+def test_save_path_matches_oracle_at_block_edges(tmp_path, events):
+    path = simulate_edge_flip(40, 12.0, seed=36)
+    assert path.event_count > _SAVE_CHUNK + 1
+    prefix = EventLogPath(path.n, path.horizon, path.initial, path.times[:events],
+                          path.edge_i[:events], path.edge_j[:events], path.values[:events],
+                          path.model_meta)
+    assert_writer_matches_oracle(prefix, tmp_path)
+
+
+def assert_fast_loader_matches_records(path, directory):
+    """The chunked fast path and the per-record parser read the same arrays."""
+    f = directory / "p.jsonl"
+    save_path(path, f)
+    lines = f.read_text().splitlines(keepends=True)
+    fast = _canonical_events(io.StringIO("".join(lines[2:])), path.n, path.horizon)
+    slow = _event_records(f, lines, path.n, path.horizon)
+    assert fast is not None
+    for a, b in zip(fast, slow):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(fast[0], path.times)
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_fast_loader_matches_record_parser(tmp_path, case):
+    assert_fast_loader_matches_records(WRITER_CASES[case](), tmp_path)
+
+
+@given(small_paths())
+@settings(max_examples=60, deadline=None)
+def test_fast_loader_matches_record_parser_random(tmp_path_factory, path):
+    assert_fast_loader_matches_records(path, tmp_path_factory.mktemp("loader"))
+
+
 def test_save_path_refuses_non_finite_values(tmp_path):
     path = build(3, [EdgeEvent(0.5, 1, 2, 1)], horizon=math.inf)
     with pytest.raises(ValueError, match="non-finite"):
@@ -637,6 +687,10 @@ MALFORMED = {
                   "line 4: time outside (0, 1.0]"),
     "time negative": ('{"i": 1, "j": 4, "t": -0.5, "type": "ev", "v": 1}',
                       "line 4: time outside (0, 1.0]"),
+    "time overflows": ('{"i": 1, "j": 4, "t": 1e400, "type": "ev", "v": 1}',
+                       "line 4: time outside (0, 1.0]"),
+    "time underflows": ('{"i": 1, "j": 4, "t": 1e-400, "type": "ev", "v": 1}',
+                        "line 4: time outside (0, 1.0]"),
     "bad json": ('{"i": 1, "j": 4,',
                  "line 4: invalid JSON (Expecting property name enclosed in double quotes)"),
     "wrong type": ('{"i": 1, "j": 4, "t": 0.5, "type": "init", "v": 1}',
@@ -670,6 +724,13 @@ def test_load_path_malformed_messages(tmp_path, case):
     with pytest.raises(DataError) as exc:
         load_path(f)
     assert str(exc.value) == f"{f}: {message}"
+
+
+@pytest.mark.parametrize("t", ["1e400", "1e-400"])
+def test_fast_loader_misses_times_beyond_float_range(t):
+    line = f'{{"i": 1, "j": 4, "t": {t}, "type": "ev", "v": 1}}\n'
+    assert _EVENT_LINE.fullmatch(line.rstrip("\n"))  # canonical-looking
+    assert _canonical_events(io.StringIO(line), 4, 1.0) is None
 
 
 def test_load_path_overflow_and_deep_nesting_are_data_errors(tmp_path):
