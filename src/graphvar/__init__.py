@@ -31,7 +31,6 @@ from .graphs import (
     InjectiveMap,
     apply_map,
     density_quantum,
-    enumerate_labeled,
     er_sample,
     num_pairs,
     pair_index,
@@ -43,7 +42,6 @@ from .graphs import (
     write_edge_list,
 )
 from .metrics import (
-    ConvergenceReport,
     edit_density,
     partial_zeta,
     perm_prefix_power,

@@ -5,7 +5,8 @@ Values are parsed as JSON where possible (numbers, booleans, lists, strings
 in quotes) and fall back to the bare string, so `model = edge-flip` and
 `p_grid = [0.2, 0.1]` both work; a `#` inside a JSON value starts no
 comment.  Each value must have its RunConfig field's type, where an integer
-also passes as a float, and numbers must be finite.
+also passes as a float, numbers must be finite, and RunConfig must accept
+the value on its own; a refused value is a DataError naming its line.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
+        if self.planted and self.model == "graphon-jump":
+            raise ValueError("planted boosts one edge of an edge-flip model, not graphon-jump")
         if self.vertices < 2:
             raise ValueError("vertices must be at least 2")
         check_vertex_count(self.vertices)
@@ -143,6 +146,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if any(isinstance(v, float) and not math.isfinite(v)
                for v in (parsed if isinstance(parsed, tuple) else (parsed,))):
             raise DataError(f"{source}: line {lineno}: {key} must be finite, got {value!r}")
+        try:  # the value on its own, other fields at their defaults
+            RunConfig(**{key: parsed})
+        except ValueError as exc:
+            raise DataError(f"{source}: line {lineno}: {exc}") from None
         out[key] = parsed
     return out
 

@@ -34,6 +34,7 @@ if TYPE_CHECKING:
 
 DEFAULT_EXACT_BUDGET = 10**7
 LEVEL_HARD_CAP = 6  # 2^C(7,2) pattern slots would be 2 million
+PROBE_MAX = 12  # bound-series terms weight_admissibility's ratio test reads
 
 
 # ---------------------------------------------------------------------------
@@ -410,25 +411,21 @@ def bound_constant(weights: WeightFunction, n_max: int) -> float:
 class WeightReport:
     """Ratio-test classification of the full bound series over all levels."""
 
-    family: str
-    probe_levels: tuple[int, ...]
-    terms: tuple[float, ...]
     partial_sums: tuple[float, ...]
     ratios: tuple[float, ...]
     classification: str  # "convergent" | "divergent"
     tail_bound: float | None
 
 
-def weight_admissibility(weights: WeightFunction, probe_max: int = 12) -> WeightReport:
+def weight_admissibility(weights: WeightFunction) -> WeightReport:
     """Classify sum_n f(n) C(n,2) 2^C(n,2) by the terminal term ratio.
 
     A weight family is usable for the uniform movement bound exactly when
-    this series converges; the report carries the probe terms, their partial
-    sums, adjacent ratios, and a geometric tail estimate when convergent.
+    this series converges; the report carries the partial sums of the first
+    PROBE_MAX terms, their adjacent ratios, and a geometric tail estimate
+    when convergent.
     """
-    if probe_max < 4:
-        raise ValueError("need probe_max >= 4 to classify")
-    levels = tuple(range(1, probe_max + 1))
+    levels = range(1, PROBE_MAX + 1)
     terms = tuple(weights(n) * num_pairs(n) * float(2 ** num_pairs(n)) for n in levels)
     sums = tuple(itertools.accumulate(terms))
     ratios = tuple(
@@ -442,9 +439,6 @@ def weight_admissibility(weights: WeightFunction, probe_max: int = 12) -> Weight
         classification = "divergent"
         tail = None
     return WeightReport(
-        family=weights.name,
-        probe_levels=levels,
-        terms=terms,
         partial_sums=sums,
         ratios=ratios,
         classification=classification,
@@ -457,60 +451,34 @@ def weight_admissibility(weights: WeightFunction, probe_max: int = 12) -> Weight
 
 @dataclass(frozen=True)
 class LipschitzReport:
-    pattern_n: int
     lhs: float
     rhs: float
     margin: float
     ok: bool
-    mode: str
-    allowance: float
 
 
 def lipschitz_check(
     pattern: AdjacencyGraph,
     g: AdjacencyGraph,
     h: AdjacencyGraph,
-    mode: str = "exact",
-    n_samples: int = 100_000,
     budget: int = DEFAULT_EXACT_BUDGET,
-    seed=0,
 ) -> LipschitzReport:
     """|t(F;g) - t(F;h)| <= C(k,2) * edit_density(g, h).
 
-    Exact mode compares rationals, so the margin is exact and the check has
-    zero tolerance; mc mode allows three combined standard errors.
+    Both sides are exact rationals, so the margin is exact and the check has
+    zero tolerance.
     """
     if g.n != h.n:
         raise ValueError(f"host vertex counts differ: {g.n} vs {h.n}")
-    k = pattern.n
     jd = Fraction(2 * sym_diff_count(g, h), g.n * (g.n - 1))
-    rhs_exact = num_pairs(k) * jd
-    if mode == "exact":
-        lhs_exact = abs(density_exact(pattern, g, budget) - density_exact(pattern, h, budget))
-        margin = rhs_exact - lhs_exact
-        return LipschitzReport(
-            pattern_n=k,
-            lhs=float(lhs_exact),
-            rhs=float(rhs_exact),
-            margin=float(margin),
-            ok=margin >= 0,
-            mode="exact",
-            allowance=0.0,
-        )
-    if mode != "mc":
-        raise ValueError("mode must be 'exact' or 'mc'")
-    ta, sa = density_mc(pattern, g, n_samples, seed_list(seed) + [0])
-    tb, sb = density_mc(pattern, h, n_samples, seed_list(seed) + [1])
-    lhs = abs(ta - tb)
-    allowance = 3.0 * (sa + sb)
+    rhs = num_pairs(pattern.n) * jd
+    lhs = abs(density_exact(pattern, g, budget) - density_exact(pattern, h, budget))
+    margin = rhs - lhs
     return LipschitzReport(
-        pattern_n=k,
-        lhs=lhs,
-        rhs=float(rhs_exact),
-        margin=float(rhs_exact) - lhs,
-        ok=lhs <= float(rhs_exact) + allowance,
-        mode="mc",
-        allowance=allowance,
+        lhs=float(lhs),
+        rhs=float(rhs),
+        margin=float(margin),
+        ok=margin >= 0,
     )
 
 
@@ -520,8 +488,6 @@ class TotalVariationReport:
 
     p: float
     n_p: int
-    n_max: int
-    family: str
     mode: str
     tv: float
     bound: float
@@ -566,8 +532,6 @@ def total_variation_check(
     return TotalVariationReport(
         p=ladder.p,
         n_p=ladder.n_p,
-        n_max=n_max,
-        family=weights.name,
         mode=vectors[0].levels[-1].mode if vectors else "exact",
         tv=tv,
         bound=bound,

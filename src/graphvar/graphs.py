@@ -15,9 +15,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-ENUMERATION_CAP = 5
-ENUMERATION_HARD_CAP = 6
-
 
 class DataError(ValueError):
     """An input file is malformed; the message names the file and the line."""
@@ -244,22 +241,6 @@ def sym_diff_count(f: AdjacencyGraph, g: AdjacencyGraph) -> int:
     if f.n != g.n:
         raise ValueError(f"vertex counts differ: {f.n} vs {g.n}")
     return (f.bits ^ g.bits).bit_count()
-
-
-def enumerate_labeled(n: int, allow_large: bool = False) -> list[AdjacencyGraph]:
-    """All 2^C(n,2) labeled graphs on n vertices, ordered by pair bitmask.
-
-    Capped at n = 5 by default; n = 6 (32768 graphs) requires allow_large.
-    """
-    cap = ENUMERATION_HARD_CAP if allow_large else ENUMERATION_CAP
-    if n > cap:
-        raise ValueError(
-            f"enumerate_labeled(n={n}) exceeds the cap of {cap}: "
-            f"2^C(n,2) = 2^{num_pairs(n)} graphs; "
-            + ("raise the cap explicitly if you mean it" if allow_large
-               else "pass allow_large=True to permit n=6")
-        )
-    return [AdjacencyGraph(n, b) for b in range(1 << num_pairs(n))]
 
 
 def er_sample(n: int, p: float, seed) -> AdjacencyGraph:

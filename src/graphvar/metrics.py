@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -16,48 +15,12 @@ from .graphs import (
     _unpack,
     num_pairs,
     pair_endpoints,
-    restrict,
     sym_diff_count,
 )
 
 EXACT_PERM_LIMIT = 5040  # enumerate all permutations up to 7! = 5040
 RELABEL_BATCH = 512  # relabelings gathered at once
 HEAD_POSITIONS = 16  # relabeled positions whose pairs the head block reads
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Sequence of estimates across truncation levels plus a convergence flag."""
-
-    levels: tuple[int, ...]
-    values: tuple[float, ...]
-    tolerance: float
-    last_delta: float = field(init=False)
-    converged: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.levels):
-            raise ValueError("levels and values must have equal length")
-        delta = (
-            abs(self.values[-1] - self.values[-2])
-            if len(self.values) >= 2
-            else math.inf
-        )
-        object.__setattr__(self, "last_delta", delta)
-        object.__setattr__(self, "converged", delta <= self.tolerance)
-
-    @property
-    def estimate(self) -> float:
-        return self.values[-1]
-
-    def to_dict(self) -> dict:
-        return {
-            "levels": list(self.levels),
-            "values": list(self.values),
-            "tolerance": self.tolerance,
-            "last_delta": self.last_delta,
-            "converged": self.converged,
-        }
 
 
 def edit_density(f: AdjacencyGraph, g: AdjacencyGraph) -> float:
@@ -215,22 +178,23 @@ def perm_prefix_power(
     return relabeling_mean(d**alpha, exact)
 
 
-def slln_statistic(
-    x: AdjacencyGraph, levels: Sequence[int], tolerance: float = 1e-2
-) -> ConvergenceReport:
-    """Edge density 2 E_n / (n (n-1)) of the restriction at each level."""
+def slln_statistic(x: AdjacencyGraph, levels: Sequence[int]) -> tuple[float, ...]:
+    """Edge density 2 E_n / (n (n-1)) of the restriction at each level.
+
+    Counted in one pass: the restriction to vertices 1..n holds the edges
+    whose larger endpoint is at most n.
+    """
     if len(levels) == 0:
         raise ValueError("levels must be nonempty")
     if list(levels) != sorted(set(levels)):
         raise ValueError("levels must be strictly increasing")
     if levels[-1] > x.n:
         raise ValueError("largest level exceeds vertex count")
-    vals = []
-    for n in levels:
-        if n < 2:
-            raise ValueError("statistic needs levels >= 2")
-        vals.append(2.0 * restrict(x, n).edge_count / (n * (n - 1)))
-    return ConvergenceReport(tuple(levels), tuple(vals), tolerance)
+    if levels[0] < 2:
+        raise ValueError("statistic needs levels >= 2")
+    _, jj = pair_endpoints(x.n)
+    below = np.bincount(jj[x.to_pair_vector()], minlength=x.n).cumsum()
+    return tuple(2.0 * int(below[n - 1]) / (n * (n - 1)) for n in levels)
 
 
 def prefix_power_series(p: float, alpha: float, n_max: int) -> float:

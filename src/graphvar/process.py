@@ -332,6 +332,23 @@ def _draw_edge_flip(
     return _EdgeFlipDraw(rate, init_vec, times, np.concatenate(all_pairs))
 
 
+def _event_log(n: int, horizon: float, init_vec: np.ndarray, times: np.ndarray,
+               pairs: np.ndarray, values: np.ndarray, meta: dict) -> EventLogPath:
+    """A simulated path from its initial pair vector and its time-ordered events,
+    given as pair ids and new values."""
+    ii, jj = pair_endpoints(n)
+    return EventLogPath(
+        n=n,
+        horizon=horizon,
+        initial=AdjacencyGraph.from_pair_vector(n, init_vec),
+        times=times,
+        edge_i=(ii[pairs] + 1).astype(np.int32),
+        edge_j=(jj[pairs] + 1).astype(np.int32),
+        values=values,
+        model_meta=meta,
+    )
+
+
 def simulate_edge_flip(
     n: int,
     rate,
@@ -369,7 +386,6 @@ def simulate_edge_flip(
     occ = np.arange(e) - np.repeat(starts, np.diff(np.r_[starts, e]))
     values = np.empty(e, dtype=np.int8)
     values[order] = draw.init_vec.astype(np.int8)[sp] ^ np.int8(1) ^ (occ % 2).astype(np.int8)
-    ii, jj = pair_endpoints(n)
 
     meta = {
         "model": "edge-flip-planted" if boost_edge is not None else "edge-flip",
@@ -383,16 +399,7 @@ def simulate_edge_flip(
     if boost_edge is not None:
         meta["params"]["boost_edge"] = list(sorted(boost_edge))
         meta["params"]["boost_factor"] = boost_factor
-    return EventLogPath(
-        n=n,
-        horizon=horizon,
-        initial=AdjacencyGraph.from_pair_vector(n, draw.init_vec),
-        times=times,
-        edge_i=(ii[pairs] + 1).astype(np.int32),
-        edge_j=(jj[pairs] + 1).astype(np.int32),
-        values=values,
-        model_meta=meta,
-    )
+    return _event_log(n, horizon, draw.init_vec, times, pairs, values, meta)
 
 
 def simulate_graphon_jump(
@@ -426,7 +433,9 @@ def simulate_graphon_jump(
     tick_times = np.sort(rng.uniform(0.0, horizon, n_ticks))
     tick_times = np.where(tick_times <= 0.0, np.nextafter(0.0, 1.0), tick_times)
 
-    times_parts, pair_parts, value_parts = [], [], []
+    times_parts = [np.zeros(0)]
+    pair_parts = [np.zeros(0, dtype=np.int64)]
+    value_parts = [np.zeros(0, dtype=np.int8)]
     for k, t in enumerate(tick_times, start=1):
         w = graphons[k % len(graphons)]
         new = rng.random(npairs) < w.edge_probabilities(u, ii, jj)
@@ -437,15 +446,6 @@ def simulate_graphon_jump(
             value_parts.append(new[changed].astype(np.int8))
         state = new
 
-    if times_parts:
-        times = np.concatenate(times_parts)
-        pairs = np.concatenate(pair_parts)
-        values = np.concatenate(value_parts)
-    else:
-        times = np.zeros(0)
-        pairs = np.zeros(0, dtype=np.int64)
-        values = np.zeros(0, dtype=np.int8)
-
     meta = {
         "model": "graphon-jump",
         "params": {
@@ -455,16 +455,8 @@ def simulate_graphon_jump(
         },
         "seed": _seed_repr(seed),
     }
-    return EventLogPath(
-        n=n,
-        horizon=horizon,
-        initial=AdjacencyGraph.from_pair_vector(n, init_vec),
-        times=times,
-        edge_i=(ii[pairs] + 1).astype(np.int32),
-        edge_j=(jj[pairs] + 1).astype(np.int32),
-        values=values,
-        model_meta=meta,
-    )
+    return _event_log(n, horizon, init_vec, np.concatenate(times_parts),
+                      np.concatenate(pair_parts), np.concatenate(value_parts), meta)
 
 
 MODELS = ("edge-flip", "edge-flip-planted", "graphon-jump")
@@ -725,8 +717,6 @@ def _event_records(file, lines: list[str], n: int, horizon: float):
 
 @dataclass(frozen=True)
 class ExchangeabilityReport:
-    model: str
-    window: int
     seed_count: int
     ks_statistic: float
     p_value: float
@@ -789,8 +779,6 @@ def exchangeability_check(
 
     ks = stats.ks_2samp(plain, relabeled, method="asymp")
     return ExchangeabilityReport(
-        model=model,
-        window=window,
         seed_count=seed_count,
         ks_statistic=float(ks.statistic),
         p_value=float(ks.pvalue),

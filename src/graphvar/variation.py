@@ -32,7 +32,6 @@ class StoppingLadder:
     """
 
     p: float
-    horizon: float
     taus: tuple[float, ...]
     anchors: tuple[AdjacencyGraph, ...]
     final: AdjacencyGraph
@@ -123,7 +122,6 @@ def stopping_ladder(path: EventLogPath, p: float) -> StoppingLadder:
 
     return StoppingLadder(
         p=p,
-        horizon=path.horizon,
         taus=tuple(taus),
         anchors=tuple(anchors),
         final=AdjacencyGraph(n, _pack(anchor)),
@@ -175,7 +173,6 @@ def np_profile(path: EventLogPath, ps: Sequence[float]) -> LadderProfile:
 class JumpBoundReport:
     """Observed max per-edge jump count against the ladder lower bound."""
 
-    n: int
     max_jumps: int
     sup_product: float
     lower_bound: float
@@ -192,7 +189,6 @@ def jump_bound_check(path: EventLogPath, ps: Sequence[float]) -> JumpBoundReport
     quantum = density_quantum(path.n)
     margin = max_jumps - (sup - 1.0)
     return JumpBoundReport(
-        n=path.n,
         max_jumps=max_jumps,
         sup_product=sup,
         lower_bound=sup - 1.0,
@@ -211,7 +207,6 @@ class DyadicDiagnostic:
     raw decreases should be rare.
     """
 
-    p0: float
     ps: tuple[float, ...]
     a_values: tuple[float, ...]
     slack_ok: tuple[bool, ...]
@@ -240,7 +235,7 @@ def dyadic_diagnostic(path: EventLogPath, p0: float, k_max: int) -> DyadicDiagno
     a = [p * (lad.n_p - 1) for p, lad in zip(ps, np_profile(path, ps).ladders)]
     slack_ok = tuple(a[k + 1] >= a[k] - ps[k + 1] for k in range(k_max))
     raw = tuple(a[k + 1] >= a[k] for k in range(k_max))
-    return DyadicDiagnostic(p0, ps, tuple(a), slack_ok, raw)
+    return DyadicDiagnostic(ps, tuple(a), slack_ok, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +267,6 @@ class VariationGrid:
     """Permutation-averaged alpha-power variation across (p, window, alpha)."""
 
     n: int
-    windows: tuple[int, ...]
     alphas: tuple[float, ...]
     k_perm: int
     cells: tuple[VariationCell, ...]
@@ -327,7 +321,6 @@ def variation_grid(
                 )
     return VariationGrid(
         n=n,
-        windows=windows,
         alphas=alphas,
         k_perm=k_perm,
         cells=tuple(cells),
@@ -346,10 +339,8 @@ def _seed_token(p: float) -> int:
 class StepBound:
     p: float
     alpha: float
-    step: int
     lhs: float
     stderr: float
-    step_density: float
     rhs: float
     ok: bool
 
@@ -373,8 +364,6 @@ class VariationBound:
 
 @dataclass(frozen=True)
 class VariationBoundReport:
-    n: int
-    k_perm: int
     rows: tuple[VariationBound, ...]
 
     @property
@@ -420,7 +409,7 @@ def variation_bound_check(
                 lhs, se = relabeling_mean(powed[s], exact)
                 rhs = dens[s] * const
                 steps.append(
-                    StepBound(p, a, s + 1, lhs, se, dens[s], rhs, lhs <= rhs + 3 * se)
+                    StepBound(p, a, lhs, se, rhs, lhs <= rhs + 3 * se)
                 )
             lhs, se = relabeling_mean(powed.sum(axis=0), exact)
             rhs = const * sup
@@ -437,4 +426,4 @@ def variation_bound_check(
                     steps=tuple(steps),
                 )
             )
-    return VariationBoundReport(n=n, k_perm=k_perm, rows=tuple(rows))
+    return VariationBoundReport(rows=tuple(rows))

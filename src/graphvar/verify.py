@@ -178,7 +178,7 @@ def _check_lipschitz_margin(cfg: RunConfig, adversarial: bool) -> Measured:
             for _ in range(flips):
                 bits ^= 1 << int(rng.integers(0, num_pairs(64)))
             h = AdjacencyGraph(64, bits)
-        rep = lipschitz_check(pattern, g, h, mode="exact", budget=cfg.exact_budget)
+        rep = lipschitz_check(pattern, g, h, budget=cfg.exact_budget)
         worst = min(worst, rep.margin)
         if not rep.ok:
             break
@@ -401,9 +401,9 @@ def _check_slln_convergence(cfg: RunConfig, adversarial: bool) -> Measured:
     total = 0
     for r in range(20):
         x = er_sample(512, 0.4, [cfg.seed, 110, r])
-        rep = slln_statistic(x, levels)
-        worst = max(worst, abs(rep.values[-1] - 0.4))
-        deltas = [abs(b - a) for a, b in zip(rep.values, rep.values[1:])]
+        values = slln_statistic(x, levels)
+        worst = max(worst, abs(values[-1] - 0.4))
+        deltas = [abs(b - a) for a, b in zip(values, values[1:])]
         for i in range(len(deltas) - 1):
             total += 1
             shrink += deltas[i + 1] <= deltas[i]
@@ -423,10 +423,9 @@ def _check_determinism_roundtrip(cfg: RunConfig, adversarial: bool) -> Measured:
     )
     model, params = cfg.generator()
     path1 = simulate(model, 64, cfg.horizon, [cfg.seed, 111], params)
-    tmp = tempfile.mkdtemp(prefix="graphvar-verify-")
-    f1 = os.path.join(tmp, "a.jsonl")
-    f2 = os.path.join(tmp, "b.jsonl")
-    try:
+    with tempfile.TemporaryDirectory(prefix="graphvar-verify-") as tmp:
+        f1 = os.path.join(tmp, "a.jsonl")
+        f2 = os.path.join(tmp, "b.jsonl")
         save_path(path1, f1)
         path2 = load_path(f1)
         save_path(path2, f2)
@@ -434,20 +433,15 @@ def _check_determinism_roundtrip(cfg: RunConfig, adversarial: bool) -> Measured:
             bytes1 = fh.read()
         with open(f2, "rb") as fh:
             bytes2 = fh.read()
-        roundtrip_equal = path2 == path1
-        bytes_equal = bytes1 == bytes2
-        path3 = simulate(model, 64, cfg.horizon, [cfg.seed, 111], params)
-        reseed_equal = path3 == path1
-        prof1 = np_profile(path1, cfg.p_grid)
-        prof2 = np_profile(path2, cfg.p_grid)
-        profiles_equal = prof1.rows == prof2.rows and prof1.skipped == prof2.skipped
-        path4 = simulate(model, 64, cfg.horizon, [cfg.seed, 113], params)
-        seeds_differ = path4 != path1
-    finally:
-        for f in (f1, f2):
-            if os.path.exists(f):
-                os.remove(f)
-        os.rmdir(tmp)
+    roundtrip_equal = path2 == path1
+    bytes_equal = bytes1 == bytes2
+    path3 = simulate(model, 64, cfg.horizon, [cfg.seed, 111], params)
+    reseed_equal = path3 == path1
+    prof1 = np_profile(path1, cfg.p_grid)
+    prof2 = np_profile(path2, cfg.p_grid)
+    profiles_equal = prof1.rows == prof2.rows and prof1.skipped == prof2.skipped
+    path4 = simulate(model, 64, cfg.horizon, [cfg.seed, 113], params)
+    seeds_differ = path4 != path1
     ok = all([roundtrip_equal, bytes_equal, reseed_equal, profiles_equal, seeds_differ])
     return Measured(
         statement, ok, lhs=0.0 if ok else 1.0, rhs=0.0,

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -42,6 +43,7 @@ def test_runconfig_defaults_and_windows():
     "kwargs",
     [
         {"model": "nope"},
+        {"model": "graphon-jump", "planted": True},
         {"vertices": 1},
         {"rate": -1.0},
         {"init_density": 1.5},
@@ -175,6 +177,16 @@ def test_simulate_planted_model(tmp_path):
     path = load_path(out)
     assert path.model_meta["model"] == "edge-flip-planted"
     assert path.model_meta["params"]["boost_factor"] == 25.0
+
+
+def test_simulate_planted_graphon_jump_exits_2(tmp_path, capsys):
+    # planted boosts one edge's clock; graphon-jump has none to boost
+    out = tmp_path / "z.jsonl"
+    assert main(["simulate", "--model", "graphon-jump", "--planted", "--out", str(out)]) == 2
+    assert "usage error: planted boosts one edge of an edge-flip model" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def test_simulate_graphon_model(tmp_path):
@@ -469,6 +481,35 @@ def test_config_non_finite_value_exits_3_with_line(tmp_path, capsys, line):
     assert not (tmp_path / "p.jsonl").exists()
 
 
+@pytest.mark.parametrize("line,message", [
+    ("rate = -1", "rate must be nonnegative"),
+    ("p_grid = [0.2, 1.5]", "p_grid values must lie strictly between 0 and 1"),
+    ("vertices = 1", "vertices must be at least 2"),
+    ("model = nope", "unknown model 'nope'"),
+])
+def test_config_value_runconfig_refuses_exits_3_with_line(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# run\nhorizon = 1\n{line}\n")
+    out = tmp_path / "p.jsonl"
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert f"{cfg}: line 3: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["simulate", "--rate", "-1"], "rate must be nonnegative"),
+    (["simulate", "--vertices", "1"], "vertices must be at least 2"),
+    (["analyze", "--path", "unread.jsonl", "--p-grid", "0.2,1.5"],
+     "p_grid values must lie strictly between 0 and 1"),
+])
+def test_same_values_as_flags_exit_2(tmp_path, capsys, args, message):
+    out = tmp_path / "p.jsonl"
+    assert main([*args, "--out", str(out)]) == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,field", [("--rate", "rate"), ("--horizon", "horizon"),
                                         ("--boost-factor", "boost_factor")])
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -706,13 +747,17 @@ CONFIG_KINDS = {
 }
 
 
-def fault(kind, value) -> str | None:
-    """How parse_config_text should refuse a value of this kind, if it should."""
-    if not well_typed(kind, value):
-        return "of type"
+def fault(key, value) -> str | None:
+    """The message parse_config_text should refuse this value with, if it should."""
+    if not well_typed(CONFIG_KINDS[key], value):
+        return f"{key} must be of type"
     items = value if isinstance(value, list) else [value]
     if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-        return "finite"
+        return f"{key} must be finite"
+    try:  # a well-typed value RunConfig refuses on its own
+        RunConfig(**{key: tuple(value) if isinstance(value, list) else value})
+    except ValueError as exc:
+        return str(exc)
     return None
 
 
@@ -737,18 +782,19 @@ def test_config_kinds_cover_every_key():
 @example([("model", ["#"])])  # '#' inside a JSON value is no comment
 @example([("rate", math.nan), ("vertices", 3.5)])
 @example([("alphas", [2.5, -math.inf])])
+@example([("rate", -1), ("vertices", 3.5)])
+@example([("model", "graphon-jump"), ("planted", True)])
 @settings(max_examples=300, deadline=None)
 def test_config_values_of_wrong_type_raise_data_error(items):
     text = "\n".join(f"{key} = {json.dumps(value)}" for key, value in items)
-    faults = [(k, key, fault(CONFIG_KINDS[key], value))
-              for k, (key, value) in enumerate(items, start=1)]
-    bad = next(((k, key, why) for k, key, why in faults if why), None)
+    faults = [(k, fault(key, value)) for k, (key, value) in enumerate(items, start=1)]
+    bad = next(((k, why) for k, why in faults if why), None)
     if bad is not None:
-        k, key, why = bad
-        with pytest.raises(DataError, match=f"line {k}: {key} must be {why}"):
+        k, why = bad
+        with pytest.raises(DataError, match=f"line {k}: {re.escape(why)}"):
             parse_config_text(text)
         return
-    try:  # well-typed values may still be out of range, but never a TypeError
+    try:  # values fine one by one may still clash, but never with a TypeError
         RunConfig(**parse_config_text(text))
     except ValueError:
         pass

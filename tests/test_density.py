@@ -229,13 +229,6 @@ def test_mc_values_pinned():
         0.0658, 0.0012396608407141043
     )
     assert density_mc(AdjacencyGraph.empty(1), er_sample(9, 0.5, 1), 500, seed=1) == (1.0, 0.0)
-    rep = lipschitz_check(
-        AdjacencyGraph.complete(3), er_sample(30, 0.5, 68), er_sample(30, 0.5, 69),
-        mode="mc", n_samples=20_000, seed=70,
-    )
-    assert (rep.lhs, rep.margin, rep.allowance) == (
-        0.02835, 1.5923396551724136, 0.01370190080532504
-    )
 
 
 def test_limit_vector_levels_sum_to_one():
@@ -365,8 +358,6 @@ def test_weight_classification():
     bad = weight_admissibility(weight_family("two_pow_neg_n"))
     assert bad.classification == "divergent"
     assert bad.tail_bound is None
-    with pytest.raises(ValueError):
-        weight_admissibility(weight_family("two_pow_neg_nsq"), probe_max=3)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +370,7 @@ def test_lipschitz_exact_tight_case():
     if extra == g:
         g = AdjacencyGraph(10, g.bits & ~1)
     edge = AdjacencyGraph.from_edges(2, [(1, 2)])
-    rep = lipschitz_check(edge, g, extra, mode="exact")
+    rep = lipschitz_check(edge, g, extra)
     # a single added edge moves the edge density by exactly one quantum
     assert rep.ok
     assert rep.margin == 0.0
@@ -392,22 +383,13 @@ def test_lipschitz_exact_random_patterns():
         g = er_sample(9, 0.5, int(rng.integers(1 << 30)))
         h = er_sample(9, 0.5, int(rng.integers(1 << 30)))
         bits = int(rng.integers(1 << num_pairs(3)))
-        rep = lipschitz_check(AdjacencyGraph(3, bits), g, h, mode="exact")
-        assert rep.ok and rep.margin >= 0.0 and rep.allowance == 0.0
+        rep = lipschitz_check(AdjacencyGraph(3, bits), g, h)
+        assert rep.ok and rep.margin >= 0.0
 
 
-def test_lipschitz_mc_mode():
-    g = er_sample(30, 0.5, 68)
-    h = er_sample(30, 0.5, 69)
-    rep = lipschitz_check(
-        AdjacencyGraph.complete(3), g, h, mode="mc", n_samples=20_000, seed=70
-    )
-    assert rep.mode == "mc" and rep.allowance > 0.0
-    assert rep.ok
-    with pytest.raises(ValueError, match="mode"):
-        lipschitz_check(AdjacencyGraph.complete(3), g, h, mode="nope")
+def test_lipschitz_refuses_mismatched_hosts():
     with pytest.raises(ValueError, match="host"):
-        lipschitz_check(AdjacencyGraph.complete(3), g, er_sample(8, 0.5, 1))
+        lipschitz_check(AdjacencyGraph.complete(3), er_sample(30, 0.5, 68), er_sample(8, 0.5, 1))
 
 
 def complete_jump_path():

@@ -12,7 +12,6 @@ from graphvar.graphs import (
     InjectiveMap,
     apply_map,
     density_quantum,
-    enumerate_labeled,
     er_sample,
     num_pairs,
     pair_endpoints,
@@ -182,16 +181,6 @@ def test_sym_diff_count_xor_semantics():
     assert sym_diff_count(f, f) == 0
     with pytest.raises(ValueError):
         sym_diff_count(f, AdjacencyGraph.empty(5))
-
-
-def test_enumerate_labeled_counts_and_cap():
-    assert len(enumerate_labeled(3)) == 8
-    assert len(enumerate_labeled(4)) == 64
-    with pytest.raises(ValueError):
-        enumerate_labeled(6)
-    assert len(enumerate_labeled(6, allow_large=True)) == 32768
-    with pytest.raises(ValueError):
-        enumerate_labeled(7, allow_large=True)
 
 
 def test_er_sample_determinism_and_density():

@@ -17,7 +17,6 @@ from graphvar.graphs import (
 )
 from graphvar.metrics import (
     EXACT_PERM_LIMIT,
-    ConvergenceReport,
     edit_density,
     partial_zeta,
     perm_prefix_power,
@@ -241,9 +240,7 @@ def test_perm_prefix_power_determinism():
 
 def test_slln_statistic_values():
     x = AdjacencyGraph.from_edges(5, [(1, 2), (1, 3), (2, 3)])
-    rep = slln_statistic(x, (2, 3, 5), tolerance=1.0)
-    assert rep.values == (1.0, 1.0, 0.3)
-    assert rep.converged
+    assert slln_statistic(x, (2, 3, 5)) == (1.0, 1.0, 0.3)
     with pytest.raises(ValueError):
         slln_statistic(x, (1, 3))
 
@@ -251,20 +248,24 @@ def test_slln_statistic_values():
 def test_slln_statistic_concentrates():
     # one large sample: window densities should settle near the edge rate
     x = er_sample(512, 0.35, 42)
-    rep = slln_statistic(x, (64, 128, 256, 512), tolerance=2e-2)
+    values = slln_statistic(x, (64, 128, 256, 512))
     sd = math.sqrt(0.35 * 0.65 / num_pairs(512))
-    assert abs(rep.estimate - 0.35) <= 4 * sd
-    assert rep.converged
+    assert abs(values[-1] - 0.35) <= 4 * sd
+    assert abs(values[-1] - values[-2]) <= 2e-2
 
 
-def test_convergence_report_validation():
-    with pytest.raises(ValueError):
-        ConvergenceReport((1, 2), (0.5,), 1e-2)
-    rep = ConvergenceReport((4,), (0.5,), 1e-2)
-    assert not rep.converged
-    assert rep.last_delta == math.inf
-    d = rep.to_dict()
-    assert d["levels"] == [4] and d["converged"] is False
+@given(
+    n=st.integers(2, 40),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_slln_statistic_matches_restrict_oracle(n, p, seed, data):
+    x = er_sample(n, p, seed)
+    levels = data.draw(st.lists(st.integers(2, n), min_size=1, unique=True).map(sorted))
+    want = tuple(2 * restrict(x, m).edge_count / (m * (m - 1)) for m in levels)
+    assert slln_statistic(x, levels) == want
 
 
 def test_prefix_power_series_edge_cases():
