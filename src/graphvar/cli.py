@@ -125,8 +125,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     profile = np_profile(path, cfg.p_grid)
     out.write("# ladder\n")
     w.writerow(["p", "n_p", "product", "type_a_count"])
-    for row in profile.rows:
-        w.writerow([_fmt(row.p), row.n_p, _fmt(row.product), row.type_a_count])
+    for lad in profile.ladders:
+        w.writerow([_fmt(lad.p), lad.n_p, _fmt(lad.product), lad.type_a_count])
     for p in profile.skipped:
         out.write(f"# skipped p={_fmt(p)}: below density quantum\n")
 
@@ -243,8 +243,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, DataError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:  # a bad flag or config value
         print(f"usage error: {exc}", file=sys.stderr)

@@ -516,17 +516,14 @@ def total_variation_check(
     """
     if weights is None:
         weights = WEIGHT_FAMILIES["two_pow_neg_nsq"]
-    snapshots = list(ladder.anchors) + [ladder.final]
     vectors = [
         limit_vector(g, n_max, mode=mode, n_samples=n_samples, budget=budget,
                      seed=seed_list(seed) + [idx])
-        for idx, g in enumerate(snapshots)
+        for idx, g in enumerate(ladder.snapshots())
     ]
-    steps = []
-    allowance = 0.0
-    for prev, cur in zip(vectors, vectors[1:]):
-        steps.append(limit_metric(prev, cur, weights))
-        allowance += 3.0 * limit_metric_error_budget(prev, cur, weights)
+    pairs = list(zip(vectors, vectors[1:]))
+    steps = [limit_metric(prev, cur, weights) for prev, cur in pairs]
+    allowance = sum(3.0 * limit_metric_error_budget(prev, cur, weights) for prev, cur in pairs)
     tv = float(sum(steps))
     bound = ladder.p * ladder.n_p * bound_constant(weights, n_max)
     return TotalVariationReport(
@@ -562,8 +559,7 @@ def finite_dim_variation(
     budget: int = DEFAULT_EXACT_BUDGET,
 ) -> PatternVariationReport:
     """Exact single-pattern density variation along a scanned ladder vs p * n_p * C(k,2)."""
-    snapshots = list(ladder.anchors) + [ladder.final]
-    ts = [density_exact(pattern, g, budget) for g in snapshots]
+    ts = [density_exact(pattern, g, budget) for g in ladder.snapshots()]
     steps = [abs(b - a) for a, b in zip(ts, ts[1:])]
     tv = float(sum(steps))
     bound = ladder.p * ladder.n_p * num_pairs(pattern.n)

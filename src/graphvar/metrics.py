@@ -76,17 +76,17 @@ def relabelings(n: int, k: int, seed) -> tuple[np.ndarray, bool]:
 
 
 def prefix_distances(
-    diffs: Sequence[int], n: int, windows: Sequence[int], perms: np.ndarray
+    pairs: Sequence[np.ndarray], n: int, windows: Sequence[int], perms: np.ndarray
 ) -> dict[int, np.ndarray]:
-    """window -> (len(diffs), relabelings) matrix of relabeled prefix distances.
+    """window -> (segments, relabelings) matrix of relabeled prefix distances.
 
-    diffs[s] is the disagreement bitset of two graphs on n vertices, and
-    perms[r] lists the vertices by position under the r-th relabeling (see
-    relabelings).  The kernel takes one first-disagreement minimum per
-    (segment, relabeling): q, the smallest larger relabeled endpoint
-    (0-indexed) among disagreeing pairs, n if there is none.  Window m, both
-    graphs projected onto the first m positions, keeps it only when it is
-    below m: the distance is 1 / q when q < m, and 0 otherwise.
+    pairs[s] holds the ids, in any order, of the pairs on which two graphs on
+    n vertices disagree, and perms[r] lists the vertices by position under the
+    r-th relabeling (see relabelings).  The kernel takes one first-disagreement
+    minimum per (segment, relabeling): q, the smallest larger relabeled
+    endpoint (0-indexed) among disagreeing pairs, n if there is none.  Window
+    m, both graphs projected onto the first m positions, keeps it only when it
+    is below m: the distance is 1 / q when q < m, and 0 otherwise.
 
     A random relabeling meets its first disagreement early, near position
     sqrt(2 / density).  So the head path sets a segment's pairs in a flat
@@ -103,16 +103,15 @@ def prefix_distances(
     for the share of rows whose head holds no disagreement, (1 - density)
     ^ (L (L - 1) / 2).  Both paths give the same integer q.
     """
-    q = np.full((len(diffs), perms.shape[0]), n)
+    q = np.full((len(pairs), perms.shape[0]), n)
     ii, jj = pair_endpoints(n)
     npairs = num_pairs(n)
     head = min(n, HEAD_POSITIONS)
     t_of, u_of = np.tril_indices(head, k=-1)  # head position pairs u < t, by t
     inv = cells = None  # per-row tables, built once when the first segment needs them
-    for s, bits in enumerate(diffs):
-        if bits == 0:
+    for s, idx in enumerate(pairs):
+        if idx.size == 0:
             continue
-        idx = np.flatnonzero(_unpack(bits, npairs))
         a, b = ii[idx], jj[idx]
         # expected reads per row: the head's L^2 cells, then, for the rows
         # whose head pairs miss every disagreement, an argsort and the gather
@@ -174,7 +173,7 @@ def perm_prefix_power(
     if diff == 0:
         return 0.0, 0.0
     perms, exact = relabelings(n, k, seed)
-    d = prefix_distances([diff], n, [n], perms)[n][0]
+    d = prefix_distances([np.flatnonzero(_unpack(diff, num_pairs(n)))], n, [n], perms)[n][0]
     return relabeling_mean(d**alpha, exact)
 
 

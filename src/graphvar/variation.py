@@ -4,14 +4,14 @@ For a path and a density threshold p, the ladder records the successive
 times at which the edit density since the previous anchor first reaches p.
 Everything downstream — crossing-count profiles, the per-edge jump lower
 bound, the halving diagnostic, and the alpha-power variation sums — is a
-function of the ladder's anchor graphs.
+function of the ladder's segments, which are replayed from the path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,39 +22,65 @@ from .process import EventLogPath, apply_events, jump_counts
 
 @dataclass(frozen=True)
 class StoppingLadder:
-    """Anchor times and graphs for one density threshold p.
+    """Crossing times and rung ends for one density threshold p.
 
     taus[0] = 0 and taus[k] is the k-th crossing time; the count n_p is
     len(taus), i.e. one more than the number of crossings inside the horizon,
-    and the (unobserved) next crossing is treated as infinite.  `final` is
-    the path value at the horizon, closing the last, possibly sub-threshold
-    segment.
+    and the (unobserved) next crossing is treated as infinite.  ends[k] is one
+    past the event at taus[k + 1]; densities are the segments' edit densities,
+    the capped tail's last.  Graphs are replayed from `path` on demand.
     """
 
     p: float
     taus: tuple[float, ...]
-    anchors: tuple[AdjacencyGraph, ...]
-    final: AdjacencyGraph
-    step_densities: tuple[float, ...]
-    final_density: float
+    ends: tuple[int, ...]
+    densities: tuple[float, ...]
     type_a: tuple[bool, ...]
+    path: EventLogPath = field(repr=False, compare=False)
 
     @property
     def n_p(self) -> int:
         return len(self.taus)
 
     @property
+    def product(self) -> float:
+        return self.p * self.n_p
+
+    @property
     def type_a_count(self) -> int:
         return sum(self.type_a)
 
-    def segments(self) -> list[tuple[AdjacencyGraph, AdjacencyGraph]]:
-        """(start, end) anchor pairs: the crossings plus the capped tail."""
-        out = list(zip(self.anchors, self.anchors[1:]))
-        out.append((self.anchors[-1], self.final))
-        return out
+    def _replay(self) -> Iterator[tuple[np.ndarray, int, int]]:
+        """(state, lo, hi) per segment, the tail last: state is the pair vector
+        just before event lo, and advances past event hi - 1 on resuming."""
+        state = self.path.initial.to_pair_vector().view(np.uint8)
+        for lo, hi in zip((0,) + self.ends, self.ends + (self.path.event_count,)):
+            yield state, lo, hi
+            apply_events(self.path, state, lo, hi)
 
-    def segment_densities(self) -> tuple[float, ...]:
-        return self.step_densities + (self.final_density,)
+    def snapshots(self) -> Iterator[AdjacencyGraph]:
+        """The path at 0, at each crossing, and at the horizon."""
+        for state, _, _ in self._replay():
+            yield AdjacencyGraph(self.path.n, _pack(state))
+        yield AdjacencyGraph(self.path.n, _pack(state))
+
+    def segment_pairs(self) -> Iterator[np.ndarray]:
+        """Per segment, the pair ids on which its end differs from its start."""
+        next_same = self.path.event_index.next_same
+        for state, lo, hi in self._replay():
+            last = next_same[lo:hi] >= hi
+            touched = self.path.pair_ids[lo:hi][last]
+            yield touched[self.path.values[lo:hi][last] != state[touched]]
+
+    @property
+    def anchors(self) -> tuple[AdjacencyGraph, ...]:
+        """The graphs at 0 and at each crossing; perfbench's ingest gate reads it."""
+        return tuple(self.snapshots())[:-1]
+
+    def segments(self) -> list[tuple[AdjacencyGraph, AdjacencyGraph]]:
+        """(start, end) graphs per segment from one replay; perfbench's tracer reads it."""
+        graphs = list(self.snapshots())
+        return list(zip(graphs, graphs[1:]))
 
 
 def stopping_ladder(path: EventLogPath, p: float) -> StoppingLadder:
@@ -92,8 +118,8 @@ def stopping_ladder(path: EventLogPath, p: float) -> StoppingLadder:
     anchor = path.initial.to_pair_vector().view(np.uint8)
 
     taus = [0.0]
-    anchors = [path.initial]
-    step_densities: list[float] = []
+    ends: list[int] = []
+    densities: list[float] = []
     type_a: list[bool] = []
 
     pos = 0  # first event of the current segment
@@ -112,45 +138,33 @@ def stopping_ladder(path: EventLogPath, p: float) -> StoppingLadder:
             lo, chunk = hi, 2 * chunk
         end = e if k is None else k + 1
         apply_events(path, anchor, pos, end)
+        densities.append(diff / npairs)
         if k is None:
             break
         taus.append(float(path.times[k]))
-        anchors.append(AdjacencyGraph(n, _pack(anchor)))
-        step_densities.append(diff / npairs)
+        ends.append(end)
         type_a.append(bool(end - idx.batch_start[k] >= cross_at))
         pos = end
 
-    return StoppingLadder(
-        p=p,
-        taus=tuple(taus),
-        anchors=tuple(anchors),
-        final=AdjacencyGraph(n, _pack(anchor)),
-        step_densities=tuple(step_densities),
-        final_density=diff / npairs,
-        type_a=tuple(type_a),
-    )
-
-
-@dataclass(frozen=True)
-class LadderRow:
-    p: float
-    n_p: int
-    product: float
-    type_a_count: int
+    return StoppingLadder(p, tuple(taus), tuple(ends), tuple(densities), tuple(type_a), path)
 
 
 @dataclass(frozen=True)
 class LadderProfile:
-    """Crossing counts across a threshold grid, sub-quantum entries skipped."""
+    """Ladders across a threshold grid, sub-quantum entries skipped."""
 
     n: int
-    rows: tuple[LadderRow, ...]
-    skipped: tuple[float, ...]
     ladders: tuple[StoppingLadder, ...]
+    skipped: tuple[float, ...]
+
+    @property
+    def rows(self) -> tuple[StoppingLadder, ...]:
+        """The ladders; perfbench's digest reads their .p .n_p .product .type_a_count."""
+        return self.ladders
 
     @property
     def sup_product(self) -> float:
-        return max((r.product for r in self.rows), default=0.0)
+        return max((lad.product for lad in self.ladders), default=0.0)
 
 
 def np_profile(path: EventLogPath, ps: Sequence[float]) -> LadderProfile:
@@ -158,15 +172,8 @@ def np_profile(path: EventLogPath, ps: Sequence[float]) -> LadderProfile:
     if not ps:
         raise ValueError("threshold grid must be nonempty")
     quantum = density_quantum(path.n)
-    rows, ladders, skipped = [], [], []
-    for p in ps:
-        if p < quantum:
-            skipped.append(p)
-            continue
-        lad = stopping_ladder(path, p)
-        ladders.append(lad)
-        rows.append(LadderRow(p, lad.n_p, p * lad.n_p, lad.type_a_count))
-    return LadderProfile(path.n, tuple(rows), tuple(skipped), tuple(ladders))
+    ladders = tuple(stopping_ladder(path, p) for p in ps if p >= quantum)
+    return LadderProfile(path.n, ladders, tuple(p for p in ps if p < quantum))
 
 
 @dataclass(frozen=True)
@@ -247,8 +254,7 @@ def _relabeled_segments(
     """window -> (segments, relabelings) prefix distances of the ladder's
     segments, with one batch of relabelings per threshold."""
     perms, exact = relabelings(n, k_perm, seed_list(seed) + [_seed_token(lad.p)])
-    diffs = [ga.bits ^ gb.bits for ga, gb in lad.segments()]
-    return prefix_distances(diffs, n, windows, perms), exact
+    return prefix_distances(list(lad.segment_pairs()), n, windows, perms), exact
 
 
 @dataclass(frozen=True)
@@ -400,14 +406,13 @@ def variation_bound_check(
     for p in ps:
         lad = scanned[p] if p in scanned else stopping_ladder(path, p)
         dists, exact = _relabeled_segments(lad, n, [n], k_perm, seed)
-        dens = lad.segment_densities()
         for a in alphas:
             const = partial_zeta(a, n)
             powed = dists[n] ** a  # (segments, relabelings)
             steps = []
             for s in range(powed.shape[0]):
                 lhs, se = relabeling_mean(powed[s], exact)
-                rhs = dens[s] * const
+                rhs = lad.densities[s] * const
                 steps.append(
                     StepBound(p, a, lhs, se, rhs, lhs <= rhs + 3 * se)
                 )

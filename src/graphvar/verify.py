@@ -439,7 +439,7 @@ def _check_determinism_roundtrip(cfg: RunConfig, adversarial: bool) -> Measured:
     reseed_equal = path3 == path1
     prof1 = np_profile(path1, cfg.p_grid)
     prof2 = np_profile(path2, cfg.p_grid)
-    profiles_equal = prof1.rows == prof2.rows and prof1.skipped == prof2.skipped
+    profiles_equal = prof1.ladders == prof2.ladders and prof1.skipped == prof2.skipped
     path4 = simulate(model, 64, cfg.horizon, [cfg.seed, 113], params)
     seeds_differ = path4 != path1
     ok = all([roundtrip_equal, bytes_equal, reseed_equal, profiles_equal, seeds_differ])

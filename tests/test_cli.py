@@ -310,6 +310,21 @@ def test_analyze_scans_each_threshold_once(tmp_path, ladder_scans):
     assert ladder_scans == [0.2, 0.1, 0.05, 0.025]  # the default grid, all above the quantum
 
 
+def test_out_of_memory_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "p.jsonl"
+    assert main(["simulate", "--out", str(src), "--vertices", "8"]) == 0
+    capsys.readouterr()
+
+    def exhausted(path, ps):
+        raise MemoryError()
+
+    monkeypatch.setattr("graphvar.cli.np_profile", exhausted)
+    assert main(["analyze", "--path", str(src)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: out of memory\n"
+    assert "Traceback" not in err
+
+
 def test_analyze_missing_file(tmp_path):
     assert main(["analyze", "--path", str(tmp_path / "nope.jsonl")]) == 3
 

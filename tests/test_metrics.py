@@ -141,7 +141,8 @@ def test_prefix_distances_match_scalar_oracle(n, k):
     assert exact == (math.factorial(n) <= EXACT_PERM_LIMIT)
     assert len({tuple(row) for row in perms}) == (math.factorial(n) if exact else k)
     windows = range(1, n + 1)
-    dist = prefix_distances([a.bits ^ b.bits for a, b in pairs], n, windows, perms)
+    ids = [np.flatnonzero(a.to_pair_vector() ^ b.to_pair_vector()) for a, b in pairs]
+    dist = prefix_distances(ids, n, windows, perms)
     for s, (a, b) in enumerate(pairs):
         for r, row in enumerate(perms):
             ra, rb = relabeled(a, row), relabeled(b, row)
@@ -158,7 +159,7 @@ def test_prefix_distances_match_scalar_oracle_at_any_density(n, density, seed):
     empty = AdjacencyGraph.empty(n)
     perms, _ = relabelings(n, 8, seed=[83, seed])
     windows = sorted({m for m in (2, 15, 16, 17) if m < n} | {n})
-    dist = prefix_distances([g.bits], n, windows, perms)
+    dist = prefix_distances([np.flatnonzero(g.to_pair_vector())], n, windows, perms)
     for r, row in enumerate(perms):
         re_, rg = relabeled(empty, row), relabeled(g, row)
         for m in windows:

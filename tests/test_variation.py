@@ -1,11 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphvar.graphs import AdjacencyGraph, InjectiveMap, apply_map, num_pairs, density_quantum
+from graphvar.graphs import (
+    AdjacencyGraph, InjectiveMap, _unpack, apply_map, density_quantum, num_pairs,
+)
 from graphvar.metrics import partial_zeta
 from graphvar.process import (
     EdgeEvent,
@@ -53,11 +56,9 @@ def assert_matches_naive(path, p):
     lad = stopping_ladder(path, p)
     taus, anchors, steps, fdens, type_a, final = naive_ladder(path, p)
     assert list(lad.taus) == taus
-    assert [frozenset(a.edges()) for a in lad.anchors] == anchors
-    assert list(lad.step_densities) == steps
-    assert lad.final_density == fdens
+    assert [frozenset(g.edges()) for g in lad.snapshots()] == anchors + [final]
+    assert list(lad.densities) == steps + [fdens]
     assert list(lad.type_a) == type_a
-    assert frozenset(lad.final.edges()) == final
 
 
 @pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.5])
@@ -136,33 +137,78 @@ def test_ladder_segment_longer_than_first_chunk():
     assert_matches_naive(path, 0.3)
     lad = stopping_ladder(path, 0.3)
     assert lad.taus == (0.0, 0.6)
-    assert lad.step_densities == (0.3,)
-    assert lad.final_density == 0.1
+    assert lad.densities == (0.3, 0.1)
 
 
-def test_ladder_counts_against_the_state_before_each_event():
-    # Unvalidated: (1, 2) is written 1, 1, 0.  The scan moves the count by +1
-    # when the pair's state just before the event (initial 0, then 1, then 1)
-    # equals the anchor's (0), else by -1: +1, -1, -1.  These are the numbers
-    # of the per-event loop the vectorized scan replaced.
-    path = EventLogPath(
+def rewritten_edge_path():
+    """Unvalidated: (1, 2) is written 1, 1, 0, so its second event is no jump."""
+    return EventLogPath(
         3, 1.0, AdjacencyGraph.empty(3), np.array([0.1, 0.2, 0.3]),
         np.array([1, 1, 1], dtype=np.int32), np.array([2, 2, 2], dtype=np.int32),
         np.array([1, 1, 0], dtype=np.int8),
     )
+
+
+def test_ladder_counts_against_the_state_before_each_event():
+    # The scan moves the count by +1 when the pair's state just before the
+    # event (initial 0, then 1, then 1) equals the anchor's (0), else by -1:
+    # +1, -1, -1.  These are the numbers of the per-event loop the vectorized
+    # scan replaced.
+    path = rewritten_edge_path()
     lad = stopping_ladder(path, 2 / 3)
     assert lad.taus == (0.0,)
-    assert lad.final_density == -1 / 3
-    assert lad.final == AdjacencyGraph.empty(3)
+    assert lad.densities == (-1 / 3,)
+    assert tuple(lad.snapshots()) == (AdjacencyGraph.empty(3),) * 2
     # at p = 1/3 every event crosses, each measured against the anchor the
     # event before it left: +1 each time
     lad = stopping_ladder(path, 1 / 3)
     assert lad.taus == (0.0, 0.1, 0.2, 0.3)
-    assert lad.step_densities == (1 / 3,) * 3
+    assert lad.densities == (1 / 3,) * 3 + (0.0,)
     assert lad.type_a == (True,) * 3
     edge = AdjacencyGraph.from_edges(3, [(1, 2)])
-    assert lad.anchors[1:] == (edge, edge, AdjacencyGraph.empty(3))
-    assert lad.final_density == 0.0
+    empty = AdjacencyGraph.empty(3)
+    assert tuple(lad.snapshots())[1:] == (edge, edge, empty, empty)
+
+
+LADDER_PATHS = {
+    "rewritten-edge": rewritten_edge_path,
+    "edge-flip": lambda: simulate_edge_flip(24, 3.0, seed=36),
+    "graphon-jump": lambda: simulate_graphon_jump(
+        14, [StepGraphon.constant(0.5), StepGraphon.constant(0.2)], 6.0, seed=37),
+}
+
+
+@pytest.mark.parametrize("name,p", [
+    ("rewritten-edge", 1 / 3), ("rewritten-edge", 2 / 3), ("edge-flip", 0.02),
+    ("edge-flip", 0.2), ("graphon-jump", 0.05), ("graphon-jump", 0.6),
+])
+def test_segment_pairs_are_the_xor_of_consecutive_snapshots(name, p):
+    # on the rewritten edge, the segment holding only the 1 -> 1 write has an
+    # odd event count on (1, 2) but no change there
+    lad = stopping_ladder(LADDER_PATHS[name](), p)
+    graphs = list(lad.snapshots())
+    npairs = num_pairs(lad.path.n)
+    expect = [np.flatnonzero(_unpack(a.bits ^ b.bits, npairs)) for a, b in zip(graphs, graphs[1:])]
+    got = list(lad.segment_pairs())
+    assert len(got) == len(expect) == lad.n_p
+    for pairs, ref in zip(got, expect):
+        assert np.array_equal(np.sort(pairs), ref)
+
+
+def test_ladder_retains_no_graph():
+    # n=512: one packed graph is C(512, 2) / 8 bytes, about 16 KB; a ladder
+    # keeps a few numbers per rung and replays its graphs from the path
+    path = simulate_edge_flip(512, 0.03, seed=38)
+    path.event_index  # shared by every scan of the path, so built beforehand
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lad = stopping_ladder(path, 2 / num_pairs(512))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert lad.n_p >= 1000
+    assert retained / lad.n_p < 256
 
 
 def two_step_path():
@@ -174,20 +220,18 @@ def test_ladder_hand_case_every_event_crosses():
     lad = stopping_ladder(two_step_path(), 1 / 6)
     assert lad.taus == (0.0, 0.2, 0.6)
     assert lad.n_p == 3
-    assert lad.step_densities == (1 / 6, 1 / 6)
-    assert lad.final_density == 0.0
+    assert lad.densities == (1 / 6, 1 / 6, 0.0)
     segs = lad.segments()
     assert len(segs) == 3  # two crossings plus the capped final segment
     assert segs[-1][0] == segs[-1][1]
-    assert lad.segment_densities()[-1] == 0.0
+    assert [p.tolist() for p in lad.segment_pairs()] == [[0], [5], []]
 
 
 def test_ladder_hand_case_needs_two_events():
     lad = stopping_ladder(two_step_path(), 0.3)
     assert lad.taus == (0.0, 0.6)
     assert lad.n_p == 2
-    assert lad.step_densities == (2 / 6,)
-    assert lad.final_density == 0.0
+    assert lad.densities == (2 / 6, 0.0)
     assert lad.type_a == (False,)  # one event cannot cross 0.3 * 6 = 1.8 alone
 
 
@@ -197,8 +241,8 @@ def test_ladder_single_batch_is_type_a():
     lad = stopping_ladder(path, 0.5)
     assert lad.n_p == 2
     assert lad.type_a == (True,)
-    assert lad.step_densities == (1.0,)
-    assert lad.anchors[1] == AdjacencyGraph.complete(3)
+    assert lad.densities == (1.0, 0.0)
+    assert list(lad.snapshots())[1] == AdjacencyGraph.complete(3)
 
 
 def test_ladder_threshold_validation():
@@ -229,7 +273,7 @@ def test_ladder_relabel_invariant():
     for p in (0.05, 0.15):
         a, b = stopping_ladder(path, p), stopping_ladder(moved, p)
         assert a.taus == b.taus
-        assert a.step_densities == b.step_densities
+        assert a.densities == b.densities
         assert a.type_a == b.type_a
 
 
@@ -237,11 +281,10 @@ def test_np_profile_skips_subquantum():
     path = simulate_edge_flip(16, 2.0, seed=35)
     prof = np_profile(path, [0.2, 0.1, 1e-4])
     assert prof.skipped == (1e-4,)
-    assert [r.p for r in prof.rows] == [0.2, 0.1]
-    assert prof.sup_product == max(r.product for r in prof.rows)
-    for row, lad in zip(prof.rows, prof.ladders):
-        assert row.n_p == lad.n_p
-        assert row.product == pytest.approx(row.p * row.n_p)
+    assert [lad.p for lad in prof.ladders] == [0.2, 0.1]
+    assert prof.sup_product == max(lad.product for lad in prof.ladders)
+    for lad in prof.ladders:
+        assert lad.product == pytest.approx(lad.p * lad.n_p)
 
 
 def test_jump_bound_on_flip_paths():
@@ -279,7 +322,7 @@ def test_graphon_rungs_flagged_type_a():
         32, [StepGraphon.constant(0.5), StepGraphon.constant(0.1)], 4.0, seed=38
     )
     prof = np_profile(path, [0.2])
-    assert prof.rows[0].type_a_count > 0
+    assert prof.ladders[0].type_a_count > 0
 
 
 # ---------------------------------------------------------------------------
