@@ -24,6 +24,7 @@ from .graphs import (
     AdjacencyGraph,
     DataError,
     num_pairs,
+    pair_endpoints,
     pair_index,
     seed_list,
     sym_diff_count,
@@ -74,20 +75,47 @@ def _exact_counts(host: AdjacencyGraph, k: int, budget: int) -> tuple[np.ndarray
     return counts, math.perm(m, k)
 
 
-_GATHER_BYTES = 1 << 21  # packed row bytes per gather; the unpacked bits take 8x that
+_GATHER_BYTES = 1 << 21  # bytes of one gathered word block: _GATHER_BYTES // 8 edges
+_SWAR = tuple(np.uint64(c) for c in (1, 2, 4, 56, 0x5555555555555555, 0x3333333333333333,
+                                     0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
 
 
-def _triangle_count(adj: np.ndarray) -> int:
-    """Triangles of a dense boolean adjacency matrix: common neighbours summed over
-    edges i < j, over 3.  Each edge ANDs its endpoints' bit-packed rows; edges are
-    gathered a block of upper-triangle rows at a time to bound the temporaries."""
-    m = adj.shape[0]
-    rows = np.packbits(adj, axis=1)
-    step, total = max(1, _GATHER_BYTES // (m * rows.shape[1])), 0
-    for r0 in range(0, m, step):
-        i, j = np.nonzero(np.triu(adj[r0 : r0 + step], r0 + 1))
-        total += np.count_nonzero(np.unpackbits(rows[i + r0] & rows[j]))
-    return total // 3
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word, in place: the SWAR count of Warren, Hacker's
+    Delight, 5-1, with np.uint64 constants only so numpy 1.x shifts stay unsigned."""
+    s1, s2, s4, s56, m1, m2, m4, h01 = _SWAR
+    t = x >> s1
+    x -= np.bitwise_and(t, m1, out=t)
+    np.right_shift(x, s2, out=t)
+    x &= m2
+    x += np.bitwise_and(t, m2, out=t)
+    x += np.right_shift(x, s4, out=t)
+    x &= m4
+    x *= h01
+    return np.right_shift(x, s56, out=x)
+
+
+def _degrees_and_triangles(host: AdjacencyGraph) -> tuple[np.ndarray, int]:
+    """Vertex degrees and the triangle count: common neighbours summed over the
+    edges i < j, over 3.  The rows are bit-packed into uint64 words and stored one
+    word column at a time; per column, every edge ANDs its endpoints' words (a
+    1-D gather), a block of _GATHER_BYTES // 8 edges at a time."""
+    m, w = host.n, -(-host.n // 64) * 64
+    k = np.flatnonzero(host.to_pair_vector())
+    ii, jj = pair_endpoints(m)
+    i, j = ii[k], jj[k]
+    adj = np.zeros((m, w), dtype=bool)
+    flat = adj.reshape(-1)
+    flat[i * w + j] = flat[j * w + i] = True
+    cols = np.packbits(adj, axis=1, bitorder="little").view(np.uint64).T.copy()
+    step, total = max(1, _GATHER_BYTES // 8), 0
+    for e0 in range(0, i.size, step):
+        ib, jb = i[e0 : e0 + step], j[e0 : e0 + step]
+        for col in cols:
+            x = col[ib]
+            x &= col[jb]
+            total += int(_popcount(x).sum())
+    return np.bincount(i, minlength=m) + np.bincount(j, minlength=m), total // 3
 
 
 def _closed_form_counts(host: AdjacencyGraph, k: int) -> np.ndarray:
@@ -97,9 +125,7 @@ def _closed_form_counts(host: AdjacencyGraph, k: int) -> np.ndarray:
     m, e = host.n, host.edge_count
     if k < 3:
         return np.array([m] if k == 1 else [m * (m - 1) - 2 * e, 2 * e], dtype=np.int64)
-    adj = host.to_matrix()
-    deg = adj.sum(axis=1, dtype=np.int64)
-    t = _triangle_count(adj)
+    deg, t = _degrees_and_triangles(host)
     n2 = int((deg * (deg - 1) // 2).sum()) - 3 * t  # triples holding exactly two edges
     n1 = e * (m - 2) - 2 * n2 - 3 * t  # ... and exactly one
     n0 = math.comb(m, 3) - n1 - n2 - t
@@ -315,30 +341,17 @@ def limit_vector(
     for k in range(1, n_max + 1):
         if mode == "exact" or (mode == "auto" and _exact_cost(host.n, k) <= budget):
             counts, denom = _exact_counts(host, k, budget)
-            levels.append(
-                DensityLevel(
-                    n=k,
-                    mode="exact",
-                    t=tuple((counts / denom).tolist()),
-                    stderr=None,
-                    counts=tuple(int(c) for c in counts),
-                    denominator=denom,
-                )
-            )
-        else:
-            if adj is None:
-                adj = host.to_matrix()
-            codes = _mc_codes(adj, k, n_samples, seed_list(seed) + [k])
-            freq = np.bincount(codes, minlength=1 << num_pairs(k)) / n_samples
-            se = np.sqrt(freq * (1.0 - freq) / n_samples)
-            levels.append(
-                DensityLevel(
-                    n=k,
-                    mode="mc",
-                    t=tuple(freq.tolist()),
-                    stderr=tuple(se.tolist()),
-                )
-            )
+            levels.append(DensityLevel(n=k, mode="exact", t=tuple((counts / denom).tolist()),
+                                       stderr=None, counts=tuple(int(c) for c in counts),
+                                       denominator=denom))
+            continue
+        if adj is None:
+            adj = host.to_matrix()
+        codes = _mc_codes(adj, k, n_samples, seed_list(seed) + [k])
+        freq = np.bincount(codes, minlength=1 << num_pairs(k)) / n_samples
+        se = np.sqrt(freq * (1.0 - freq) / n_samples)
+        levels.append(DensityLevel(n=k, mode="mc", t=tuple(freq.tolist()),
+                                   stderr=tuple(se.tolist())))
     return DensityVector(n_max, tuple(levels))
 
 

@@ -201,11 +201,7 @@ def restrict(g: AdjacencyGraph, n: int) -> AdjacencyGraph:
     """Induced subgraph on vertices 1..n."""
     if not (1 <= n <= g.n):
         raise ValueError(f"restriction level {n} out of range for n={g.n}")
-    if n == g.n:
-        return g
-    mat = g.to_matrix()
-    iu = np.triu_indices(n, 1)
-    return AdjacencyGraph(n, _pack(mat[:n, :n][iu]))
+    return g if n == g.n else apply_map(g, InjectiveMap.identity(n))
 
 
 def apply_map(g: AdjacencyGraph, phi: InjectiveMap) -> AdjacencyGraph:

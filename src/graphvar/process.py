@@ -62,13 +62,8 @@ class PiecewiseRate:
     def pieces(self, horizon: float) -> list[tuple[float, float, float]]:
         """(start, end, rate) triples covering [0, horizon]."""
         ends = list(self.breaks[1:]) + [math.inf]
-        out = []
-        for t0, t1, r in zip(self.breaks, ends, self.rates):
-            t1 = min(t1, horizon)
-            if t0 >= horizon:
-                break
-            out.append((t0, t1, r))
-        return out
+        return [(t0, min(t1, horizon), r)
+                for t0, t1, r in zip(self.breaks, ends, self.rates) if t0 < horizon]
 
 
 @dataclass(frozen=True)
@@ -106,13 +101,15 @@ class EventIndex:
     value on that pair, or the initial state.  next_same[k] is the index of
     the next event on the same pair, or the event count if there is none.
     batch_end[k] tells whether event k is the last of its same-timestamp
-    batch, and batch_start[k] is the index of that batch's first event.
+    batch.  slot[k] numbers event k's pair among the pairs the path touches, and
+    slot_initial[s] is the initial state of the pair in slot s.
     """
 
     before: np.ndarray
     next_same: np.ndarray
     batch_end: np.ndarray
-    batch_start: np.ndarray
+    slot: np.ndarray
+    slot_initial: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,19 +152,22 @@ class EventLogPath:
         itype = np.int32 if e < np.iinfo(np.int32).max else np.int64
         order = _pair_order(pids, num_pairs(self.n))
         same = pids[order[1:]] == pids[order[:-1]]
+        first = np.ones(e, dtype=bool)  # in pair order, the first event on each pair
+        first[1:] = ~same
+        slot = np.empty(e, dtype=np.intp)  # intp: the scans gather with it
+        slot[order] = np.cumsum(first, dtype=itype)
+        slot -= 1
         prev, nxt = order[:-1][same], order[1:][same]
         next_same = np.full(e, e, dtype=itype)
         next_same[prev] = nxt
         before = self.initial.to_pair_vector().view(np.uint8)[pids]
         before[nxt] = self.values[prev]
-        starts = np.ones(e, dtype=bool)
-        starts[1:] = self.times[1:] != self.times[:-1]
         batch_end = np.ones(e, dtype=bool)
-        batch_end[:-1] = starts[1:]
-        batch_start = np.maximum.accumulate(np.where(starts, np.arange(e, dtype=itype), 0))
-        for arr in (before, next_same, batch_end, batch_start):
+        batch_end[:-1] = self.times[1:] != self.times[:-1]
+        arrays = (before, next_same, batch_end, slot, before[order[first]])
+        for arr in arrays:
             arr.setflags(write=False)
-        return EventIndex(before, next_same, batch_end, batch_start)
+        return EventIndex(*arrays)
 
     def events(self) -> Iterator[EdgeEvent]:
         for k in range(self.event_count):
@@ -510,14 +510,16 @@ def snapshot(path: EventLogPath, t: float) -> AdjacencyGraph:
     return AdjacencyGraph.from_pair_vector(path.n, vec)
 
 
-def apply_events(path: EventLogPath, state: np.ndarray, lo: int, hi: int) -> None:
-    """Advance `state`, the pair vector just before event lo, past event hi - 1.
+def apply_events(path: EventLogPath, state: np.ndarray, lo: int, hi: int,
+                 ids: np.ndarray | None = None) -> None:
+    """Advance `state`, the pair vector just before event lo, past event hi - 1;
+    with ids (EventIndex.slot), `state` is indexed by those instead of pair ids.
 
     One scatter: each pair touched in [lo, hi) takes the value of its last
     event there, the one whose next same-pair event lies at or past hi.
     """
     last = path.event_index.next_same[lo:hi] >= hi
-    state[path.pair_ids[lo:hi][last]] = path.values[lo:hi][last]
+    state[(path.pair_ids if ids is None else ids)[lo:hi][last]] = path.values[lo:hi][last]
 
 
 def jump_counts(path: EventLogPath) -> JumpCounts:

@@ -109,13 +109,13 @@ def stopping_ladder(path: EventLogPath, p: float) -> StoppingLadder:
         )
     npairs = num_pairs(n)
     cross_at = p * npairs  # disagreement count scale: J = diff / C(n,2)
-    # a segment needs at least cross_at events; most need less than twice that
-    first_chunk = 2 * math.ceil(cross_at) + 32
+    # a segment needs at least `need` events; most need less than twice that
+    need = math.ceil(cross_at)
+    first_chunk = 2 * need + 32
 
     idx = path.event_index
-    pids = path.pair_ids
     e = path.event_count
-    anchor = path.initial.to_pair_vector().view(np.uint8)
+    anchor = idx.slot_initial.copy()  # over the pairs the path touches
 
     taus = [0.0]
     ends: list[int] = []
@@ -127,7 +127,7 @@ def stopping_ladder(path: EventLogPath, p: float) -> StoppingLadder:
         lo, chunk, diff, k = pos, first_chunk, 0, None
         while lo < e:
             hi = min(e, lo + chunk)
-            step = np.where(idx.before[lo:hi] == anchor[pids[lo:hi]], 1, -1)
+            step = np.where(idx.before[lo:hi] == anchor[idx.slot[lo:hi]], 1, -1)
             running = np.cumsum(step) + diff
             crossed = idx.batch_end[lo:hi] & (running >= cross_at)
             j = int(crossed.argmax())
@@ -137,13 +137,15 @@ def stopping_ladder(path: EventLogPath, p: float) -> StoppingLadder:
             diff = int(running[-1])
             lo, chunk = hi, 2 * chunk
         end = e if k is None else k + 1
-        apply_events(path, anchor, pos, end)
+        apply_events(path, anchor, pos, end, idx.slot)
         densities.append(diff / npairs)
         if k is None:
             break
         taus.append(float(path.times[k]))
         ends.append(end)
-        type_a.append(bool(end - idx.batch_start[k] >= cross_at))
+        # type-A when the crossing batch alone holds `need` events, i.e. the
+        # `need` events up to the crossing share its time
+        type_a.append(bool(end >= need and path.times[end - need] == path.times[k]))
         pos = end
 
     return StoppingLadder(p, tuple(taus), tuple(ends), tuple(densities), tuple(type_a), path)

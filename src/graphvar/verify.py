@@ -20,6 +20,7 @@ import tempfile
 import time
 import traceback
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -220,9 +221,7 @@ def _check_dyadic_monotonicity(cfg: RunConfig, adversarial: bool) -> Measured:
         "a_k = p_k (n_{p_k} - 1) along threshold halving satisfies "
         "a_{k+1} >= a_k - p_{k+1}; raw decreases stay below 10%"
     )
-    slack_violations = 0
-    raw_violations = 0
-    comparisons = 0
+    slack_violations = raw_violations = comparisons = 0
     for r in range(20):
         path = simulate_edge_flip(128, 4.0, 0.5, 1.0, [cfg.seed, 104, r])
         diag = dyadic_diagnostic(path, 0.2, 3)
@@ -397,16 +396,14 @@ def _check_slln_convergence(cfg: RunConfig, adversarial: bool) -> Measured:
     levels = (64, 128, 256, 512)
     sigma = math.sqrt(0.4 * 0.6 / num_pairs(512))
     worst = 0.0
-    shrink = 0
-    total = 0
+    shrink = total = 0
     for r in range(20):
         x = er_sample(512, 0.4, [cfg.seed, 110, r])
         values = slln_statistic(x, levels)
         worst = max(worst, abs(values[-1] - 0.4))
         deltas = [abs(b - a) for a, b in zip(values, values[1:])]
-        for i in range(len(deltas) - 1):
-            total += 1
-            shrink += deltas[i + 1] <= deltas[i]
+        total += len(deltas) - 1
+        shrink += sum(b <= a for a, b in zip(deltas, deltas[1:]))
     fraction = shrink / total
     ok = worst <= 4 * sigma and fraction >= 2 / 3
     return Measured(
@@ -429,12 +426,8 @@ def _check_determinism_roundtrip(cfg: RunConfig, adversarial: bool) -> Measured:
         save_path(path1, f1)
         path2 = load_path(f1)
         save_path(path2, f2)
-        with open(f1, "rb") as fh:
-            bytes1 = fh.read()
-        with open(f2, "rb") as fh:
-            bytes2 = fh.read()
+        bytes_equal = Path(f1).read_bytes() == Path(f2).read_bytes()
     roundtrip_equal = path2 == path1
-    bytes_equal = bytes1 == bytes2
     path3 = simulate(model, 64, cfg.horizon, [cfg.seed, 111], params)
     reseed_equal = path3 == path1
     prof1 = np_profile(path1, cfg.p_grid)

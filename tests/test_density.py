@@ -13,9 +13,11 @@ from graphvar.density import (
     DensityVector,
     WeightFunction,
     _closed_form_counts,
+    _degrees_and_triangles,
     _exact_cost,
     _exact_level_counts,
     _mc_codes,
+    _popcount,
     bound_constant,
     density_exact,
     density_mc,
@@ -118,15 +120,44 @@ def test_closed_form_counts_across_packing_padding(m):
     assert _closed_form_counts(AdjacencyGraph.complete(m), 3)[-1] == math.perm(m, 3)
 
 
-@pytest.mark.parametrize("gather_bytes", [1, 1300, 4500])
+@pytest.mark.parametrize("gather_bytes", [1, 100, 1300, 4500])
 def test_closed_form_counts_over_many_gather_chunks(monkeypatch, gather_bytes):
-    # at m = 70 a packed row holds 9 bytes, so these sizes gather 1, 2 and 7
-    # upper-triangle rows at a time: far fewer edges than the host has
+    # a block holds _GATHER_BYTES // 8 edges (at least one), so these sizes take
+    # 1, 12, 162 and 562 edges at a time; the hosts at m = 70 hold 713
+    # (p = 0.3) and 2,156 (p = 0.9) edges, split into 2 to 2,156 blocks
     monkeypatch.setattr(density, "_GATHER_BYTES", gather_bytes)
     for p in (0.3, 0.9):
         host = er_sample(70, p, 80)
         assert host.edge_count > 7 * 70
         assert_closed_form_matches_walker(host)
+
+
+def brute_degrees_and_triangles(host):
+    """Degrees from the dense matrix, triangles from every vertex triple."""
+    adj = host.to_matrix().tolist()
+    triangles = sum(adj[a][b] and adj[a][c] and adj[b][c]
+                    for a, b, c in itertools.combinations(range(host.n), 3))
+    return [sum(row) for row in adj], triangles
+
+
+@pytest.mark.parametrize("m", [3, 63, 64, 65, 127, 128, 129])
+def test_degrees_and_triangles_against_brute_force(m):
+    # m = 64 fills its word columns exactly; the others leave pad bits
+    hosts = [AdjacencyGraph.empty(m), AdjacencyGraph.complete(m)]
+    hosts += [er_sample(m, p, [m, k]) for k, p in enumerate((0.1, 0.5, 0.9))]
+    for host in hosts:
+        deg, t = _degrees_and_triangles(host)
+        assert (deg.tolist(), t) == brute_degrees_and_triangles(host), host
+    assert _degrees_and_triangles(AdjacencyGraph.complete(m))[1] == math.comb(m, 3)
+
+
+def test_popcount_matches_int_bit_count():
+    rng = np.random.default_rng(83)
+    words = [0, 2**64 - 1] + [1 << b for b in range(64)]
+    words += rng.integers(0, 2**64 - 1, size=500, dtype=np.uint64, endpoint=True).tolist()
+    got = _popcount(np.array(words, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [w.bit_count() for w in words]
 
 
 def test_exact_cost_units():

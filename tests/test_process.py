@@ -181,21 +181,24 @@ def test_event_index_is_cached_read_only_and_outside_eq():
     idx = path.event_index
     assert path.event_index is idx and path.pair_ids is path.pair_ids
     assert path == twin and twin == path  # twin has built nothing yet
-    for arr in (path.pair_ids, idx.before, idx.next_same, idx.batch_end, idx.batch_start):
+    for arr in (path.pair_ids, idx.before, idx.next_same, idx.batch_end, idx.slot,
+                idx.slot_initial):
         assert not arr.flags.writeable
     # against a walk over the events
     t = path.times.tolist()
     last, state = {}, path.initial.to_pair_vector().tolist()
+    slots = dict(zip(path.pair_ids.tolist(), idx.slot.tolist()))
+    assert sorted(slots.values()) == list(range(len(slots)))  # one slot per touched pair
+    assert all(idx.slot_initial[s] == state[pid] for pid, s in slots.items())
     for k, (i, j, v) in enumerate(zip(path.edge_i.tolist(), path.edge_j.tolist(),
                                       path.values.tolist())):
         pid = pair_index(i, j, path.n)
-        assert path.pair_ids[k] == pid
+        assert path.pair_ids[k] == pid and idx.slot[k] == slots[pid]
         assert idx.before[k] == state[pid]
         if pid in last:
             assert idx.next_same[last[pid]] == k
         state[pid], last[pid] = v, k
         assert idx.batch_end[k] == (k + 1 == len(t) or t[k + 1] != t[k])
-        assert idx.batch_start[k] == t.index(t[k])
     assert all(idx.next_same[k] == path.event_count for k in last.values())
 
 

@@ -211,6 +211,25 @@ def test_ladder_retains_no_graph():
     assert retained / lad.n_p < 256
 
 
+def test_ladder_scan_reads_only_the_touched_pairs():
+    # C(4096, 2) is about 8.4 million pairs; a scan keeps its anchor over the
+    # pairs the events touch, so a few-event path costs a few events, not a
+    # pair-sized vector per call
+    initial = AdjacencyGraph.from_edges(4096, [(1, 2), (2, 4), (9, 4000)])
+    ev = [EdgeEvent(0.1, 1, 2, 0), EdgeEvent(0.2, 2, 4, 0), EdgeEvent(0.3, 1, 2, 1),
+          EdgeEvent(0.4, 5, 6, 1), EdgeEvent(0.5, 7, 8, 1), EdgeEvent(0.6, 2, 4, 1)]
+    path = EventLogPath.from_events(4096, 1.0, initial, ev)  # builds the event index
+    for p in (1.2e-7, 3e-7):
+        tracemalloc.start()
+        try:
+            stopping_ladder(path, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert_matches_naive(path, p)
+
+
 def two_step_path():
     ev = [EdgeEvent(0.2, 1, 2, 1), EdgeEvent(0.6, 3, 4, 1)]
     return EventLogPath.from_events(4, 1.0, AdjacencyGraph.empty(4), ev)
