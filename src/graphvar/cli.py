@@ -41,8 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--rate", type=float, default=None)
     sim.add_argument("--init-density", type=float, default=None, dest="init_density")
     sim.add_argument("--horizon", type=float, default=None)
-    sim.add_argument("--planted", action="store_true", default=None,
-                     help="boost one edge's intensity to break exchangeability")
     sim.add_argument("--boost-factor", type=float, default=None, dest="boost_factor")
 
     ana = sub.add_parser("analyze", help="ladder, variation, and movement tables")
@@ -97,7 +95,7 @@ def _fmt(v) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve(args, ("model", "vertices", "rate", "init_density", "horizon",
-                          "seed", "planted", "boost_factor"))
+                          "seed", "boost_factor"))
     model, params = cfg.generator()
     path = simulate(model, cfg.vertices, cfg.horizon, cfg.seed, params)
     save_path(path, args.out)
@@ -222,7 +220,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise
     except json.JSONDecodeError as exc:
         raise DataError(f"{args.report}: line {exc.lineno}: invalid JSON ({exc.msg})") from None
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise DataError(f"{args.report}: not a verification report: {exc!r}") from None
     print("\n".join(lines))
     print("result:", "OK" if ok else "FAIL")

@@ -6,7 +6,8 @@ in quotes) and fall back to the bare string, so `model = edge-flip` and
 `p_grid = [0.2, 0.1]` both work; a `#` inside a JSON value starts no
 comment.  Each value must have its RunConfig field's type, where an integer
 also passes as a float, numbers must be finite, and RunConfig must accept
-the value on its own; a refused value is a DataError naming its line.
+the value on its own; a refused value is a DataError naming its line.  No
+rule spans two fields, so lines accepted one at a time are accepted together.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class RunConfig:
     init_density: float = 0.5
     horizon: float = 1.0
     seed: int = 0
-    planted: bool = False
     boost_factor: float = 10.0
     p_grid: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
     m_grid: tuple[int, ...] | None = None
@@ -45,8 +45,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        if self.planted and self.model == "graphon-jump":
-            raise ValueError("planted boosts one edge of an edge-flip model, not graphon-jump")
         if self.vertices < 2:
             raise ValueError("vertices must be at least 2")
         check_vertex_count(self.vertices)
@@ -76,13 +74,10 @@ class RunConfig:
 
     def generator(self) -> tuple[str, dict]:
         """The model name and the `simulate` params this configuration describes."""
-        model = "edge-flip-planted" if self.planted else self.model
-        if model == "graphon-jump":
-            return model, {"grids": [[[self.init_density]]], "global_rate": self.rate}
-        params: dict = {"rate": self.rate, "init_density": self.init_density}
-        if model == "edge-flip-planted":
-            params.update(boost_edge=(1, 2), boost_factor=self.boost_factor)
-        return model, params
+        if self.model == "graphon-jump":
+            return self.model, {"grids": [[[self.init_density]]], "global_rate": self.rate}
+        return self.model, {"rate": self.rate, "init_density": self.init_density,
+                            "boost_factor": self.boost_factor}
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

@@ -314,7 +314,7 @@ def load_density_vector(file) -> DensityVector:
     with open(file, "r", encoding="ascii") as fh:
         try:
             return DensityVector.from_dict(json.load(fh))
-        except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
             raise DataError(f"{file}: bad density vector: {exc}") from exc
 
 

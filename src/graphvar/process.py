@@ -213,10 +213,7 @@ class EventLogPath:
         if np.any((self.edge_i >= self.edge_j) | (self.edge_i < 1) | (self.edge_j > self.n)):
             raise ValueError("event edges must satisfy 1 <= i < j <= n")
         tie = self.times[1:] == self.times[:-1]
-        bad = tie & (
-            (self.edge_i[1:] < self.edge_i[:-1])
-            | ((self.edge_i[1:] == self.edge_i[:-1]) & (self.edge_j[1:] <= self.edge_j[:-1]))
-        )
+        bad = tie & (self.pair_ids[1:] <= self.pair_ids[:-1])  # valid endpoints: (i, j) order
         if np.any(self.times[1:] < self.times[:-1]) or np.any(bad):
             raise ValueError("events must be strictly sorted by (time, i, j)")
         if not np.all((self.values == 0) | (self.values == 1)):

@@ -376,7 +376,7 @@ def _check_planted_asymmetry_ks(cfg: RunConfig, adversarial: bool) -> Measured:
         "a 10x intensity boost on one edge is detected by the windowed "
         "relabeling KS test (p < 0.01)"
     )
-    params = dict(_KS_PARAMS, boost_edge=(1, 2), boost_factor=cfg.boost_factor)
+    params = dict(_KS_PARAMS, boost_factor=cfg.boost_factor)
     rep = exchangeability_check(
         "edge-flip-planted", params, n=64, seed_count=200, seed=[cfg.seed, 112], window=8,
     )

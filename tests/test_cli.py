@@ -43,9 +43,9 @@ def test_runconfig_defaults_and_windows():
     "kwargs",
     [
         {"model": "nope"},
-        {"model": "graphon-jump", "planted": True},
         {"vertices": 1},
         {"rate": -1.0},
+        {"init_density": -0.1},
         {"init_density": 1.5},
         {"horizon": 0.0},
         {"p_grid": ()},
@@ -77,13 +77,11 @@ def test_parse_config_text():
     vertices = 32          # trailing comment
     rate = 1.5
     p_grid = [0.2, 0.1]
-    planted = true
     """
     out = parse_config_text(text)
     assert out["model"] == "edge-flip-planted"
     assert out["vertices"] == 32
     assert out["p_grid"] == (0.2, 0.1)
-    assert out["planted"] is True
     out = parse_config_text('weight_family = "a#b"  # c\nalphas = [2.5] # [3]\n')
     assert out == {"weight_family": "a#b", "alphas": (2.5,)}
 
@@ -101,7 +99,7 @@ def test_parse_config_text_errors():
         parse_config_text("nope = 3")
     with pytest.raises(DataError, match="line 2"):
         parse_config_text("rate = 1.0\njust words\n")
-    for removed in ("metric = prefix", "tol_rel = 0.01"):
+    for removed in ("metric = prefix", "tol_rel = 0.01", "planted = true"):
         with pytest.raises(DataError, match="unknown key"):
             parse_config_text(removed)
 
@@ -109,11 +107,11 @@ def test_parse_config_text_errors():
 @pytest.mark.parametrize(
     "kwargs,model,params",
     [
-        ({}, "edge-flip", {"rate": 2.0, "init_density": 0.5}),
+        ({}, "edge-flip", {"rate": 2.0, "init_density": 0.5, "boost_factor": 10.0}),
         ({"model": "edge-flip-planted", "boost_factor": 4.0}, "edge-flip-planted",
-         {"rate": 2.0, "init_density": 0.5, "boost_edge": (1, 2), "boost_factor": 4.0}),
-        ({"planted": True, "rate": 3.0}, "edge-flip-planted",
-         {"rate": 3.0, "init_density": 0.5, "boost_edge": (1, 2), "boost_factor": 10.0}),
+         {"rate": 2.0, "init_density": 0.5, "boost_factor": 4.0}),
+        ({"model": "edge-flip-planted", "rate": 3.0}, "edge-flip-planted",
+         {"rate": 3.0, "init_density": 0.5, "boost_factor": 10.0}),
         ({"model": "graphon-jump", "rate": 3.0, "init_density": 0.2}, "graphon-jump",
          {"grids": [[[0.2]]], "global_rate": 3.0}),
     ],
@@ -173,19 +171,21 @@ def test_simulate_oversized_vertex_count_exits_2(tmp_path, capsys):
 
 
 def test_simulate_planted_model(tmp_path):
-    out = simulate_small(tmp_path, "planted.jsonl", ("--planted", "--boost-factor", "25"))
+    out = simulate_small(tmp_path, "planted.jsonl",
+                         ("--model", "edge-flip-planted", "--boost-factor", "25"))
     path = load_path(out)
     assert path.model_meta["model"] == "edge-flip-planted"
+    assert path.model_meta["params"]["boost_edge"] == [1, 2]
     assert path.model_meta["params"]["boost_factor"] == 25.0
 
 
-def test_simulate_planted_graphon_jump_exits_2(tmp_path, capsys):
-    # planted boosts one edge's clock; graphon-jump has none to boost
+def test_simulate_planted_flag_is_gone(tmp_path, capsys):
+    # --model edge-flip-planted is the one way to ask for the planted model
     out = tmp_path / "z.jsonl"
-    assert main(["simulate", "--model", "graphon-jump", "--planted", "--out", str(out)]) == 2
-    assert "usage error: planted boosts one edge of an edge-flip model" in (
-        capsys.readouterr().err
-    )
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--planted", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --planted" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -462,7 +462,6 @@ def test_config_file_errors_exit_3_with_line(tmp_path, capsys):
     ("p_grid = abc", "p_grid", "tuple[float, ...]"),
     ("vertices = 3.5", "vertices", "int"),
     ('alphas = [2.5, "x"]', "alphas", "tuple[float, ...]"),
-    ('planted = "yes"', "planted", "bool"),
     ("seed = true", "seed", "int"),
     ("m_grid = [8, 4.0]", "m_grid", "tuple[int, ...] | None"),
 ])
@@ -530,7 +529,8 @@ def test_same_values_as_flags_exit_2(tmp_path, capsys, args, message):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_simulate_non_finite_flag_exits_2(tmp_path, capsys, flag, field, value):
     out = tmp_path / "p.jsonl"
-    assert main(["simulate", "--out", str(out), "--vertices", "8", "--planted", flag, value]) == 2
+    assert main(["simulate", "--out", str(out), "--vertices", "8",
+                 "--model", "edge-flip-planted", flag, value]) == 2
     assert f"usage error: {field} must be finite, got {value}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -635,13 +635,16 @@ def test_report_unknown_status_exits_3(tmp_path, capsys, status):
         ("[1, 2]", "not a verification report"),
         ("{}", "not a verification report: KeyError('checks')"),
         ('{"ok": true, "checks": []}', "report lists no checks"),
+        pytest.param("[" * 100_000 + "]" * 100_000,
+                     "not a verification report: RecursionError", id="nested too deeply"),
     ],
 )
 def test_report_malformed_file_exits_3(tmp_path, capsys, text, message):
     f = tmp_path / "r.json"
     f.write_text(text)
     assert main(["report", "--report", str(f)]) == 3
-    assert f"{f}: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {f}: {message}") and err.count("\n") == 1
 
 
 def test_missing_required_flag_exits_2():
@@ -754,7 +757,7 @@ def test_parse_config_text_fuzz_raises_only_value_errors(text):
 
 # the JSON kinds each config key takes; an integer passes as a float
 CONFIG_KINDS = {
-    "model": "str", "weight_family": "str", "planted": "bool",
+    "model": "str", "weight_family": "str",
     "vertices": "int", "seed": "int", "n_max": "int", "k_perm": "int", "k_inj": "int",
     "exact_budget": "int",
     "rate": "float", "init_density": "float", "horizon": "float", "boost_factor": "float",
@@ -792,13 +795,11 @@ def test_config_kinds_cover_every_key():
 @given(st.lists(st.tuples(st.sampled_from(sorted(CONFIG_KINDS)), JSON_VALUES), min_size=1,
                 max_size=4))
 @example([("vertices", 3.5)])
-@example([("planted", "yes")])
 @example([("p_grid", [0.2, True])])
 @example([("model", ["#"])])  # '#' inside a JSON value is no comment
 @example([("rate", math.nan), ("vertices", 3.5)])
 @example([("alphas", [2.5, -math.inf])])
 @example([("rate", -1), ("vertices", 3.5)])
-@example([("model", "graphon-jump"), ("planted", True)])
 @settings(max_examples=300, deadline=None)
 def test_config_values_of_wrong_type_raise_data_error(items):
     text = "\n".join(f"{key} = {json.dumps(value)}" for key, value in items)
@@ -809,10 +810,7 @@ def test_config_values_of_wrong_type_raise_data_error(items):
         with pytest.raises(DataError, match=f"line {k}: {re.escape(why)}"):
             parse_config_text(text)
         return
-    try:  # values fine one by one may still clash, but never with a TypeError
-        RunConfig(**parse_config_text(text))
-    except ValueError:
-        pass
+    RunConfig(**parse_config_text(text))  # values fine one by one are fine together
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

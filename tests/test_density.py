@@ -317,6 +317,9 @@ def test_density_vector_roundtrip(tmp_path):
     f.write_text('{"n_max": 1, "levels": [{"n": 1e400, "mode": "mc", "t": []}]}')
     with pytest.raises(DataError, match="bad density vector.*infinity"):
         load_density_vector(f)
+    f.write_text("[" * 100_000 + "]" * 100_000)  # nested too deeply for json
+    with pytest.raises(DataError, match="bad density vector"):
+        load_density_vector(f)
 
 
 def test_density_level_validation():

@@ -387,6 +387,23 @@ def test_validate_rejects_duplicate_event_key():
         build(3, [EdgeEvent(0.5, 1, 2, 1), EdgeEvent(0.5, 1, 2, 0)])
 
 
+@pytest.mark.parametrize("order,ok", [
+    ([(1, 2), (1, 3), (2, 3)], True),
+    ([(1, 3), (1, 2), (2, 3)], False),  # same i, j falls
+    ([(1, 2), (2, 3), (1, 3)], False),  # i falls
+])
+def test_validate_checks_tied_events_in_pair_order(order, ok):
+    # a tie in time is ordered by (i, j), which is the order of the pair indices
+    path = EventLogPath(3, 1.0, AdjacencyGraph.empty(3), np.full(3, 0.5),
+                        np.array([i for i, _ in order]), np.array([j for _, j in order]),
+                        np.ones(3, dtype=np.int8))
+    if ok:
+        path.validate()
+    else:
+        with pytest.raises(ValueError, match=r"strictly sorted by \(time, i, j\)"):
+            path.validate()
+
+
 def test_validate_rejects_non_alternating_edge():
     # edge starts absent; two consecutive "on" writes are not genuine jumps
     with pytest.raises(ValueError, match="alternat|jump"):
