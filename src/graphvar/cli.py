@@ -12,7 +12,7 @@ import json
 import sys
 
 from .config import RunConfig, parse_float_list, parse_int_list, resolve_config
-from .density import limit_vector, save_density_vector, weight_family, total_variation_check
+from .density import WEIGHT_FAMILIES, limit_vector, save_density_vector, total_variation_check
 from .graphs import DataError, read_edge_list
 from .process import MODELS, jump_counts, load_path, save_path, simulate, snapshot
 from .variation import np_profile, variation_grid
@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--k-perm", type=int, default=None, dest="k_perm")
     ana.add_argument("--n-max", type=int, default=None, dest="n_max")
     ana.add_argument("--weight-family", default=None, dest="weight_family",
-                     choices=["two_pow_neg_n", "two_pow_neg_nsq"])
+                     choices=sorted(WEIGHT_FAMILIES))
     ana.add_argument("--skip-variation", action="store_true")
     ana.add_argument("--skip-tv", action="store_true")
 
@@ -140,7 +140,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                         _fmt(c.value), _fmt(c.stderr)])
 
     if not args.skip_tv:
-        weights = weight_family(cfg.weight_family)
+        weights = WEIGHT_FAMILIES[cfg.weight_family]
         out.write("# tv\n")
         w.writerow(["p", "n_p", "tv", "bound", "margin", "mode"])
         for ladder in profile.ladders:

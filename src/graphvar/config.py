@@ -19,7 +19,7 @@ import types
 import typing
 from dataclasses import dataclass
 
-from .density import LEVEL_HARD_CAP
+from .density import LEVEL_HARD_CAP, weight_family
 from .graphs import DataError
 from .process import MODELS, check_vertex_count
 
@@ -71,6 +71,7 @@ class RunConfig:
             raise ValueError("k_inj must be at least 1")
         if self.exact_budget < 1:
             raise ValueError("exact_budget must be positive")
+        weight_family(self.weight_family)  # raises on an unknown name
 
     def generator(self) -> tuple[str, dict]:
         """The model name and the `simulate` params this configuration describes."""

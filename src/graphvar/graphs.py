@@ -100,12 +100,15 @@ class AdjacencyGraph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "AdjacencyGraph":
         """Graph with the given (i, j) edges, in either orientation; repeats are no-ops."""
-        pairs = np.array(list(edges))
+        edges = edges if isinstance(edges, list) else list(edges)  # read again below
+        pairs = np.array(edges)
         if pairs.shape == (0,):
             return cls(n, 0)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("edges must be (i, j) pairs")
-        if pairs.dtype.kind not in "iu":
+        # np.array reads True as 1 (False as 0, which the range check refuses)
+        if pairs.dtype.kind not in "iu" or any(
+                type(edges[k // 2][k % 2]) is bool for k in np.flatnonzero(pairs == 1)):
             raise TypeError("edge endpoints must be integers")
         lo, hi = pairs.min(axis=1), pairs.max(axis=1)
         bad = (lo == hi) | (lo < 1) | (hi > n)

@@ -538,6 +538,7 @@ _EVENT_LINE = re.compile(
     re.MULTILINE,
 )
 _CHUNK_CHARS = 1 << 18  # event text parsed at once; bounds the loader's memory
+_EVENT_DTYPES = (np.float64, np.int32, np.int32, np.int8)  # times, i, j, values
 # %r of a finite float is the text json.dumps writes for it
 _EVENT_FMT = '{"i": %d, "j": %d, "t": %r, "type": "ev", "v": %d}\n'
 _SAVE_CHUNK = 4096  # events formatted at once; bounds the writer's memory
@@ -575,11 +576,11 @@ def save_path(path: EventLogPath, file) -> None:
 def load_path(file) -> EventLogPath:
     """Read a JSONL path; malformed records raise with their line number.
 
-    Event lines in save_path's layout are parsed in bounded chunks by one
-    regular expression.  If any event line has another layout or is out of
-    range, every event line goes through the per-record json parser instead,
-    which alone writes the line-numbered errors; so the accepted files and
-    the error messages do not depend on the layout.
+    Event lines are read in bounded chunks.  A chunk in save_path's layout
+    is parsed at once by one regular expression; any other chunk goes
+    through the per-record json parser where it stands, which alone writes
+    the line-numbered errors.  So the accepted files and the error messages
+    do not depend on the layout, and memory stays that of the canonical path.
     """
     try:
         with open(file, "r", encoding="ascii") as fh:
@@ -597,15 +598,12 @@ def load_path(file) -> EventLogPath:
                 horizon = float(header["horizon"])
                 if not (math.isfinite(horizon) and horizon > 0.0):
                     raise ValueError(f"horizon must be finite and positive, got {horizon}")
-                initial = AdjacencyGraph.from_edges(n, [tuple(e) for e in init["edges"]])
+                initial = AdjacencyGraph.from_edges(n, init["edges"])
             except DataError:
                 raise
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{file}: line 1-2: bad header/init record: {exc}") from exc
-            events = _canonical_events(fh, n, horizon)
-            if events is None:
-                fh.seek(0)
-                events = _event_records(file, fh.readlines(), n, horizon)
+            events = _events(file, fh, n, horizon)
     except UnicodeDecodeError:
         lineno = first_non_ascii_line(file)
         raise DataError(f"{file}: line {lineno}: non-ASCII byte in path file") from None
@@ -648,38 +646,40 @@ def _parse_record(file, lineno: int, line: str, want: str) -> dict:
     return rec
 
 
-def _canonical_events(fh, n: int, horizon: float):
-    """(times, i, j, values) of the remaining lines of fh, or None on any miss.
+def _events(file, fh, n: int, horizon: float):
+    """(times, i, j, values) of the remaining lines of fh, line 3 on, by chunks.
 
-    A miss is a line not in save_path's layout (blank lines included) or a
-    chunk with an event out of range.  Once the regular expression has
-    matched every line of a chunk, deleting the key text leaves the numbers
-    "i j t v" on each line, and one np.fromstring parses them all.
+    When the regular expression matches every line of a chunk (blank lines
+    included), deleting the key text leaves the numbers "i j t v" on each
+    line, and one np.fromstring parses them all.  A chunk with a line off
+    that layout or an event out of range goes to _event_records instead.
     """
-    cols = [[np.zeros(0, dtype)] for dtype in (np.float64, np.int32, np.int32, np.int8)]
+    cols = [[np.zeros(0, dtype)] for dtype in _EVENT_DTYPES]
+    lineno = 3
     while chunk := fh.readlines(_CHUNK_CHARS):
         text = "".join(chunk)
-        if len(_EVENT_LINE.findall(text)) != len(chunk):
-            return None
-        digits = text.replace('"type": "ev", ', "").encode("ascii").translate(None, b'{}"ijtv:,')
-        rows = np.fromstring(digits, sep=" ").reshape(len(chunk), 4)
-        ei, ej = rows[:, 0].astype(np.int32), rows[:, 1].astype(np.int32)
-        times = rows[:, 2].copy()
-        if not np.all((ei < ej) & (ej <= n) & (times > 0.0) & (times <= horizon)):
-            return None
-        values = rows[:, 3].astype(np.int8)
-        for col, arr in zip(cols, (times, ei, ej, values)):
+        bulk = len(_EVENT_LINE.findall(text)) == len(chunk)
+        if bulk:
+            digits = text.replace('"type": "ev", ', "").encode().translate(None, b'{}"ijtv:,')
+            rows = np.fromstring(digits, sep=" ").reshape(len(chunk), 4)
+            ei, ej = rows[:, 0].astype(np.int32), rows[:, 1].astype(np.int32)
+            times = rows[:, 2].copy()
+            bulk = np.all((ei < ej) & (ej <= n) & (times > 0.0) & (times <= horizon))
+        events = ((times, ei, ej, rows[:, 3].astype(np.int8)) if bulk
+                  else _event_records(file, chunk, lineno, n, horizon))
+        for col, arr in zip(cols, events):
             col.append(arr)
+        lineno += len(chunk)
     return tuple(np.concatenate(col) for col in cols)
 
 
-def _event_records(file, lines: list[str], n: int, horizon: float):
-    """(times, i, j, values) of lines[2:], one json.loads per line."""
+def _event_records(file, lines: list[str], first_lineno: int, n: int, horizon: float):
+    """(times, i, j, values) of lines, numbered from first_lineno; one json.loads each."""
     times, eis, ejs, vals = [], [], [], []
-    for lineno in range(3, len(lines) + 1):
-        if not lines[lineno - 1].strip():
+    for lineno, line in enumerate(lines, start=first_lineno):
+        if not line.strip():
             continue
-        rec = _parse_record(file, lineno, lines[lineno - 1], "ev")
+        rec = _parse_record(file, lineno, line, "ev")
         try:
             t, i, j, v = rec["t"], rec["i"], rec["j"], rec["v"]
         except KeyError as exc:
@@ -703,12 +703,7 @@ def _event_records(file, lines: list[str], n: int, horizon: float):
         eis.append(i)
         ejs.append(j)
         vals.append(v)
-    return (
-        np.asarray(times, dtype=np.float64),
-        np.asarray(eis, dtype=np.int32),
-        np.asarray(ejs, dtype=np.int32),
-        np.asarray(vals, dtype=np.int8),
-    )
+    return tuple(np.asarray(c, d) for c, d in zip((times, eis, ejs, vals), _EVENT_DTYPES))
 
 
 # ---------------------------------------------------------------------------

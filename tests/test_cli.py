@@ -63,6 +63,7 @@ def test_runconfig_defaults_and_windows():
         {"boost_factor": -math.inf},
         {"n_max": 7},
         {"m_grid": ()},
+        {"weight_family": "nope"},
     ],
 )
 def test_runconfig_validation(kwargs):
@@ -82,8 +83,10 @@ def test_parse_config_text():
     assert out["model"] == "edge-flip-planted"
     assert out["vertices"] == 32
     assert out["p_grid"] == (0.2, 0.1)
-    out = parse_config_text('weight_family = "a#b"  # c\nalphas = [2.5] # [3]\n')
-    assert out == {"weight_family": "a#b", "alphas": (2.5,)}
+    # the '#' inside the quoted value reaches RunConfig, which names it
+    with pytest.raises(DataError, match="line 1: unknown weight family 'a#b'"):
+        parse_config_text('weight_family = "a#b"  # c\n')
+    assert parse_config_text("alphas = [2.5] # [3]\n") == {"alphas": (2.5,)}
 
 
 def test_runconfig_vertex_cap():
@@ -474,6 +477,16 @@ def test_config_value_of_wrong_type_exits_3_with_line(tmp_path, capsys, line, ke
     assert not (tmp_path / "p.jsonl").exists()
 
 
+def test_verify_config_unknown_weight_family_exits_3_before_any_check(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# run\nrate = 2\nweight_family = two_pow_neg_nsqq\n")
+    capsys.readouterr()
+    assert main(["verify", "--config", str(cfg), "--only", "limit-tv"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""  # no check ran
+    assert f"{cfg}: line 3: unknown weight family" in err
+
+
 def test_config_integer_passes_as_float(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("rate = 2\nhorizon = 1\nm_grid = null\nvertices = 8\n")
@@ -500,6 +513,7 @@ def test_config_non_finite_value_exits_3_with_line(tmp_path, capsys, line):
     ("p_grid = [0.2, 1.5]", "p_grid values must lie strictly between 0 and 1"),
     ("vertices = 1", "vertices must be at least 2"),
     ("model = nope", "unknown model 'nope'"),
+    ("weight_family = two_pow_neg_nsqq", "unknown weight family 'two_pow_neg_nsqq'"),
 ])
 def test_config_value_runconfig_refuses_exits_3_with_line(tmp_path, capsys, line, message):
     cfg = tmp_path / "run.cfg"

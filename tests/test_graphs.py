@@ -104,7 +104,8 @@ def test_from_edges_matches_bitwise_oracle(case):
         assert AdjacencyGraph.from_edges(n, edges) == want
 
 
-@pytest.mark.parametrize("edges", [[(1, 2, 3)], [()], [(1.0, 2.0)], [("1", "2")]])
+@pytest.mark.parametrize("edges", [[(1, 2, 3)], [()], [(1.0, 2.0)], [("1", "2")],
+                                   [(True, 2)], [(1, 2), (4, True)]])  # np.array reads True as 1
 def test_from_edges_rejects_malformed_pairs(edges):
     with pytest.raises((TypeError, ValueError)):
         AdjacencyGraph.from_edges(4, edges)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from graphvar.graphs import (
     restrict,
     seed_list,
 )
+from graphvar import process
 from graphvar.process import (
+    _CHUNK_CHARS,
     _EVENT_LINE,
     _SAVE_CHUNK,
     MAX_VERTEX_PAIRS,
@@ -36,8 +39,8 @@ from graphvar.process import (
     simulate_edge_flip,
     simulate_graphon_jump,
     snapshot,
-    _canonical_events,
     _event_records,
+    _events,
     _pair_order,
 )
 
@@ -623,8 +626,9 @@ def assert_fast_loader_matches_records(path, directory):
     f = directory / "p.jsonl"
     save_path(path, f)
     lines = f.read_text().splitlines(keepends=True)
-    fast = _canonical_events(io.StringIO("".join(lines[2:])), path.n, path.horizon)
-    slow = _event_records(f, lines, path.n, path.horizon)
+    with mock.patch.object(process, "_event_records", side_effect=AssertionError("a chunk missed")):
+        fast = _events(f, io.StringIO("".join(lines[2:])), path.n, path.horizon)
+    slow = _event_records(f, lines[2:], 3, path.n, path.horizon)
     assert fast is not None
     for a, b in zip(fast, slow):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -750,7 +754,41 @@ def test_load_path_malformed_messages(tmp_path, case):
 def test_fast_loader_misses_times_beyond_float_range(t):
     line = f'{{"i": 1, "j": 4, "t": {t}, "type": "ev", "v": 1}}\n'
     assert _EVENT_LINE.fullmatch(line.rstrip("\n"))  # canonical-looking
-    assert _canonical_events(io.StringIO(line), 4, 1.0) is None
+    with pytest.raises(DataError, match=r"^p\.jsonl: line 3: time outside \(0, 1\.0\]$"):
+        _events("p.jsonl", io.StringIO(line), 4, 1.0)
+
+
+def test_only_the_chunk_off_the_layout_is_parsed_per_record(tmp_path, monkeypatch):
+    path = simulate_edge_flip(48, 16.0, seed=5)
+    f = tmp_path / "p.jsonl"
+    save_path(path, f)
+    lines = f.read_text().splitlines(keepends=True)
+    assert len("".join(lines[2:])) > 2 * _CHUNK_CHARS + len(lines[-1])  # at least 3 chunks
+    last = json.loads(lines[-1])
+    lines[-1] = json.dumps({k: last[k] for k in ("type", "t", "j", "i", "v")}) + "\n"
+    f.write_text("".join(lines))
+    seen = []
+
+    def counting(file, chunk, first_lineno, n, horizon):
+        seen.append((first_lineno, len(chunk), len("".join(chunk))))
+        return _event_records(file, chunk, first_lineno, n, horizon)
+
+    monkeypatch.setattr(process, "_event_records", counting)
+    assert load_path(f) == path
+    assert len(seen) == 1
+    first_lineno, count, chars = seen[0]
+    assert first_lineno + count - 1 == len(lines)  # the chunk that holds the last line
+    assert chars <= _CHUNK_CHARS + len(lines[-1])  # and no more than one chunk
+    assert 3 * count < len(lines)
+
+
+@pytest.mark.parametrize("edges", ["[1, 2]", "null", '"ab"', "[[1, 2], [3]]", "[[1.5, 2]]",
+                                   "[[true, 2]]", "[[4, true]]"])
+def test_load_path_refuses_malformed_init_edges(tmp_path, edges):
+    f = tmp_path / "bad.jsonl"
+    f.write_text(HEAD.replace('"edges": [[1, 2]]', f'"edges": {edges}', 1))
+    with pytest.raises(DataError, match=r"line 1-2: bad header/init record: "):
+        load_path(f)
 
 
 def test_load_path_overflow_and_deep_nesting_are_data_errors(tmp_path):
