@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -84,9 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args: argparse.Namespace, keys: tuple[str, ...]) -> RunConfig:
-    overrides = {k: getattr(args, k, None) for k in keys}
-    return resolve_config(file=getattr(args, "config", None), overrides=overrides)
+def _resolve(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then --config, then every parsed flag named after a RunConfig field."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    return resolve_config(args.config, {k: v for k, v in vars(args).items() if k in fields})
 
 
 def _fmt(v) -> str:
@@ -94,8 +96,7 @@ def _fmt(v) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ("model", "vertices", "rate", "init_density", "horizon",
-                          "seed", "boost_factor"))
+    cfg = _resolve(args)
     model, params = cfg.generator()
     path = simulate(model, cfg.vertices, cfg.horizon, cfg.seed, params)
     save_path(path, args.out)
@@ -111,8 +112,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ("seed", "p_grid", "m_grid", "alphas", "k_perm",
-                          "n_max", "weight_family"))
+    cfg = _resolve(args)
     path = load_path(args.path)
     if not args.skip_tv and cfg.n_max > path.n:  # refused before any ladder is scanned
         raise ValueError(f"pattern level {cfg.n_max} exceeds host vertex count {path.n}")
@@ -160,7 +160,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_densities(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ("seed", "n_max", "k_inj", "exact_budget"))
+    cfg = _resolve(args)
     if args.graph:
         host = read_edge_list(args.graph)
     else:
@@ -180,7 +180,7 @@ def cmd_densities(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ("seed",))
+    cfg = _resolve(args)
     report = run_verification(cfg, only=args.only, adversarial=args.adversarial)
     for c in report.checks:
         line = f"{c.name}: {c.status.upper()}"

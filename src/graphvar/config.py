@@ -4,11 +4,12 @@ Config files are plain text, one `key = value` per line, `#` comments.
 Values are parsed as JSON where possible (numbers, booleans, lists, strings
 in quotes) and fall back to the bare string, so `model = edge-flip` and
 `p_grid = [0.2, 0.1]` both work; a `#` inside a JSON value starts no
-comment.  Each value must have its RunConfig field's type, where an integer
-also passes as a float, numbers must be finite, and RunConfig must accept
-the value on its own; a refused value is a DataError naming its line.  No
-rule spans two fields, so lines accepted one at a time are accepted together.
-"""
+comment.  RunConfig alone validates, so a flag, a config line and a library
+call obey the same rules: each field has its type (an int passes as a float,
+a bool or a numpy integer is no int, a list is stored as a tuple), floats are
+finite, and values lie in range.  A config line is checked on its own and a
+refused one is a DataError naming its line; no rule spans two fields, so
+lines accepted one at a time are accepted together."""
 
 from __future__ import annotations
 
@@ -43,14 +44,22 @@ class RunConfig:
     exact_budget: int = 10**7
 
     def __post_init__(self) -> None:
+        for name, hint in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if name in _TUPLE_KEYS and isinstance(value, list):
+                value = tuple(value)
+                object.__setattr__(self, name, value)
+            if not _conforms(value, hint):
+                raise ValueError(f"{name} must be of type {RunConfig.__annotations__[name]}, "
+                                 f"got {value!r}")
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.vertices < 2:
             raise ValueError("vertices must be at least 2")
         check_vertex_count(self.vertices)
-        for name in ("rate", "horizon", "boost_factor"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.rate < 0:
             raise ValueError("rate must be nonnegative")
         if not (0.0 <= self.init_density <= 1.0):
@@ -61,8 +70,8 @@ class RunConfig:
             raise ValueError("p_grid values must lie strictly between 0 and 1")
         if self.m_grid is not None and (not self.m_grid or any(m < 2 for m in self.m_grid)):
             raise ValueError("m_grid must be nonempty, with windows of at least 2")
-        if any(not 0 < a < math.inf for a in self.alphas):
-            raise ValueError("alphas must be positive and finite")
+        if any(a <= 0 for a in self.alphas):
+            raise ValueError("alphas must be positive")
         if not 1 <= self.n_max <= LEVEL_HARD_CAP:
             raise ValueError(f"n_max must lie in [1, {LEVEL_HARD_CAP}]")
         if self.k_perm < 2:
@@ -81,11 +90,8 @@ class RunConfig:
                             "boost_factor": self.boost_factor}
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        for key in ("p_grid", "m_grid", "alphas"):
-            if d[key] is not None:
-                d[key] = list(d[key])
-        return d
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in dataclasses.asdict(self).items()}
 
 
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
@@ -94,7 +100,7 @@ _JSON = json.JSONDecoder()
 
 
 def _conforms(value, hint) -> bool:
-    """Whether a parsed config value has the field type `hint`; an int is a float."""
+    """Whether a config value has the field type `hint`; an int is a float."""
     if typing.get_origin(hint) is types.UnionType:
         return any(_conforms(value, arm) for arm in typing.get_args(hint))
     if typing.get_origin(hint) is tuple:
@@ -127,26 +133,16 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             parsed, end = _JSON.raw_decode(value)
             if value[end:].strip()[:1] not in ("", "#"):
                 raise json.JSONDecodeError("extra data", value, end)
-            value = value[:end]
         except json.JSONDecodeError:
-            parsed = value = value.split("#", 1)[0].strip()  # bare string, e.g. model = edge-flip
+            parsed = value.split("#", 1)[0].strip()  # bare string, e.g. model = edge-flip
         except (ValueError, RecursionError):  # over 4300 digits, or nested too deeply
             raise DataError(f"{source}: line {lineno}: value is too long or too deep") from None
-        if key in _TUPLE_KEYS and isinstance(parsed, list):
-            parsed = tuple(parsed)
-        if not _conforms(parsed, _FIELD_TYPES[key]):
-            raise DataError(
-                f"{source}: line {lineno}: {key} must be of type "
-                f"{RunConfig.__annotations__[key]}, got {value!r}"
-            )
-        if any(isinstance(v, float) and not math.isfinite(v)
-               for v in (parsed if isinstance(parsed, tuple) else (parsed,))):
-            raise DataError(f"{source}: line {lineno}: {key} must be finite, got {value!r}")
         try:  # the value on its own, other fields at their defaults
-            RunConfig(**{key: parsed})
+            out[key] = getattr(RunConfig(**{key: parsed}), key)
         except ValueError as exc:
             raise DataError(f"{source}: line {lineno}: {exc}") from None
-        out[key] = parsed
+        except RecursionError:  # the message's repr of a value nested almost too deeply
+            raise DataError(f"{source}: line {lineno}: value is too long or too deep") from None
     return out
 
 
@@ -173,8 +169,6 @@ def resolve_config(
             continue
         if key not in _FIELD_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        if key in _TUPLE_KEYS and isinstance(value, (list, tuple)):
-            value = tuple(value)
         merged[key] = value
     return RunConfig(**merged)
 

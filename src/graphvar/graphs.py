@@ -100,8 +100,11 @@ class AdjacencyGraph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "AdjacencyGraph":
         """Graph with the given (i, j) edges, in either orientation; repeats are no-ops."""
-        edges = edges if isinstance(edges, list) else list(edges)  # read again below
-        pairs = np.array(edges)
+        try:  # a non-iterable or ragged edge list is no list of pairs
+            edges = edges if isinstance(edges, list) else list(edges)  # read again below
+            pairs = np.array(edges)
+        except (TypeError, ValueError):
+            raise ValueError("edges must be (i, j) pairs") from None
         if pairs.shape == (0,):
             return cls(n, 0)
         if pairs.ndim != 2 or pairs.shape[1] != 2:

@@ -12,7 +12,6 @@ import numpy as np
 from .graphs import (
     MAX_VERTEX_PAIRS,
     AdjacencyGraph,
-    _unpack,
     num_pairs,
     pair_endpoints,
     sym_diff_count,
@@ -40,7 +39,7 @@ def prefix_agreement(f: AdjacencyGraph, g: AdjacencyGraph) -> int:
     if diff == 0:
         return f.n
     _, jj = pair_endpoints(f.n)
-    vec = _unpack(diff, num_pairs(f.n))
+    vec = AdjacencyGraph(f.n, diff).to_pair_vector()
     # first disagreeing pair blocks every window containing its larger endpoint
     return int(jj[vec].min())
 
@@ -169,11 +168,11 @@ def perm_prefix_power(
     if f.n != g.n:
         raise ValueError(f"vertex counts differ: {f.n} vs {g.n}")
     n = f.n
-    diff = f.bits ^ g.bits
-    if diff == 0:
+    diff = AdjacencyGraph(n, f.bits ^ g.bits)
+    if diff.bits == 0:
         return 0.0, 0.0
     perms, exact = relabelings(n, k, seed)
-    d = prefix_distances([np.flatnonzero(_unpack(diff, num_pairs(n)))], n, [n], perms)[n][0]
+    d = prefix_distances([np.flatnonzero(diff.to_pair_vector())], n, [n], perms)[n][0]
     return relabeling_mean(d**alpha, exact)
 
 

@@ -590,12 +590,15 @@ def load_path(file) -> EventLogPath:
             header = _parse_record(file, 1, head[0], "header")
             init = _parse_record(file, 2, head[1], "init")
             try:
-                n = int(header["n"])
+                n, horizon = header["n"], header["horizon"]
+                # JSON numbers only, as for event fields: int() would read 4.7 as 4
+                if type(n) is not int or type(horizon) not in (int, float):
+                    raise TypeError("n must be an integer and horizon a number")
                 try:
                     check_vertex_count(n)
                 except ValueError as exc:
                     raise DataError(f"{file}: line 1: {exc}") from None
-                horizon = float(header["horizon"])
+                horizon = float(horizon)
                 if not (math.isfinite(horizon) and horizon > 0.0):
                     raise ValueError(f"horizon must be finite and positive, got {horizon}")
                 initial = AdjacencyGraph.from_edges(n, init["edges"])

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graphs import AdjacencyGraph, _pack, density_quantum, num_pairs, seed_list
+from .graphs import AdjacencyGraph, density_quantum, num_pairs, seed_list
 from .metrics import partial_zeta, prefix_distances, relabeling_mean, relabelings
 from .process import EventLogPath, apply_events, jump_counts
 
@@ -61,8 +61,8 @@ class StoppingLadder:
     def snapshots(self) -> Iterator[AdjacencyGraph]:
         """The path at 0, at each crossing, and at the horizon."""
         for state, _, _ in self._replay():
-            yield AdjacencyGraph(self.path.n, _pack(state))
-        yield AdjacencyGraph(self.path.n, _pack(state))
+            yield AdjacencyGraph.from_pair_vector(self.path.n, state)
+        yield AdjacencyGraph.from_pair_vector(self.path.n, state)
 
     def segment_pairs(self) -> Iterator[np.ndarray]:
         """Per segment, the pair ids on which its end differs from its start."""

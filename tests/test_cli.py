@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -68,6 +70,26 @@ def test_runconfig_defaults_and_windows():
 )
 def test_runconfig_validation(kwargs):
     with pytest.raises(ValueError):
+        RunConfig(**kwargs)
+
+
+def test_runconfig_stores_a_list_as_a_tuple():
+    cfg = RunConfig(p_grid=[0.2, 0.1])
+    assert cfg.p_grid == (0.2, 0.1)
+    assert hash(cfg) == hash(RunConfig(p_grid=(0.2, 0.1)))
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"vertices": "8"}, "vertices must be of type int, got '8'"),
+    ({"seed": np.int64(3)}, "seed must be of type int, got "),  # as a config line's value is
+    ({"alphas": (2.5, "3")}, r"alphas must be of type tuple\[float, \.\.\.\], got "),
+    ({"m_grid": [4.0]}, r"m_grid must be of type tuple\[int, \.\.\.\] \| None, got \(4.0,\)"),
+    ({"k_perm": True}, "k_perm must be of type int, got True"),
+    ({"init_density": math.nan}, "init_density must be finite, got nan"),
+    ({"p_grid": (0.2, math.inf)}, r"p_grid must be finite, got \(0.2, inf\)"),
+], ids=["str", "numpy-int", "str-item", "float-item", "bool", "nan", "inf-item"])
+def test_runconfig_refuses_wrong_types_and_non_finite_floats(kwargs, message):
+    with pytest.raises(ValueError, match=message):
         RunConfig(**kwargs)
 
 
@@ -535,6 +557,54 @@ def test_same_values_as_flags_exit_2(tmp_path, capsys, args, message):
     out = tmp_path / "p.jsonl"
     assert main([*args, "--out", str(out)]) == 2
     assert f"usage error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# field, command, flag (None where argparse's own type or choices refuse
+# first), config-line value and the reason RunConfig gives, in field order
+REFUSED = [
+    ("model", "simulate", None, "nope", "unknown model 'nope'; expected one of "),
+    ("vertices", "simulate", ["--vertices", "1"], "1", "vertices must be at least 2"),
+    ("rate", "simulate", ["--rate", "-1"], "-1", "rate must be nonnegative"),
+    ("init_density", "simulate", ["--init-density", "1.5"], "1.5",
+     "init_density must lie in [0, 1]"),
+    ("horizon", "simulate", ["--horizon", "0"], "0", "horizon must be positive"),
+    ("seed", "simulate", None, "1.5", "seed must be of type int, got 1.5"),
+    ("boost_factor", "simulate", ["--boost-factor", "nan"], "NaN",
+     "boost_factor must be finite, got nan"),
+    ("p_grid", "analyze", ["--p-grid", "0.2,1.5"], "[0.2, 1.5]",
+     "p_grid values must lie strictly between 0 and 1"),
+    ("m_grid", "analyze", ["--m-grid", "1,4"], "[1, 4]",
+     "m_grid must be nonempty, with windows of at least 2"),
+    ("alphas", "analyze", ["--alphas", "2.5,0"], "[2.5, 0]", "alphas must be positive"),
+    ("n_max", "analyze", ["--n-max", "7"], "7", "n_max must lie in [1, 6]"),
+    ("weight_family", "analyze", None, "nope", "unknown weight family 'nope'"),
+    ("k_perm", "analyze", ["--k-perm", "1"], "1", "k_perm must be at least 2"),
+    ("k_inj", "densities", ["--k-inj", "0"], "0", "k_inj must be at least 1"),
+    ("exact_budget", "densities", ["--budget", "0"], "0", "exact_budget must be positive"),
+]
+
+
+def test_refused_values_cover_every_field():
+    assert [r[0] for r in REFUSED] == [f.name for f in dataclasses.fields(RunConfig)]
+
+
+@pytest.mark.parametrize("field,command,flag,value,reason", REFUSED, ids=[r[0] for r in REFUSED])
+def test_each_field_is_refused_alike_as_flag_and_config_line(
+        tmp_path, capsys, field, command, flag, value, reason):
+    out = tmp_path / "p.jsonl"
+    base = [command, *{"simulate": ["--out", str(out)],
+                       "analyze": ["--path", str(tmp_path / "unread.jsonl")],
+                       "densities": ["--graph", str(tmp_path / "unread.txt")]}[command]]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# run\nvertices = 8\n{field} = {value}\n")
+    capsys.readouterr()
+    assert main([*base, "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: line 3: {reason}")
+    if flag is not None:
+        assert main([*base, *flag]) == 2
+        assert capsys.readouterr().err == "usage error: " + err.split(": line 3: ", 1)[1]
     assert not out.exists()
 
 
