@@ -66,6 +66,8 @@ class RunConfig:
             raise ValueError("init_density must lie in [0, 1]")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not self.p_grid or any(not (0.0 < p < 1.0) for p in self.p_grid):
             raise ValueError("p_grid values must lie strictly between 0 and 1")
         if self.m_grid is not None and (not self.m_grid or any(m < 2 for m in self.m_grid)):

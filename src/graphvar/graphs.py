@@ -35,9 +35,9 @@ MAX_VERTEX_PAIRS = 1 << 24
 def check_vertex_count(n: int) -> None:
     """Refuse a vertex count whose C(n, 2) exceeds MAX_VERTEX_PAIRS."""
     if num_pairs(n) > MAX_VERTEX_PAIRS:
-        raise ValueError(
-            f"n={n} has {num_pairs(n)} vertex pairs, over the limit of {MAX_VERTEX_PAIRS}"
-        )
+        # C(n, 2) of a long n may be too long for Python to turn into text
+        count = f"n={n} has {num_pairs(n)}" if n < 10**20 else "n of over 20 digits has more"
+        raise ValueError(f"{count} vertex pairs, over the limit of {MAX_VERTEX_PAIRS}")
 
 
 def pair_index(i: int, j: int, n: int) -> int:
@@ -98,22 +98,24 @@ class AdjacencyGraph:
         return cls(n, (1 << num_pairs(n)) - 1)
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "AdjacencyGraph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> "AdjacencyGraph":
         """Graph with the given (i, j) edges, in either orientation; repeats are no-ops."""
         try:  # a non-iterable or ragged edge list is no list of pairs
-            edges = edges if isinstance(edges, list) else list(edges)  # read again below
-            pairs = np.array(edges)
+            if not isinstance(edges, (list, np.ndarray)):
+                edges = list(edges)  # read again below
+            pairs = np.asarray(edges)
         except (TypeError, ValueError):
             raise ValueError("edges must be (i, j) pairs") from None
         if pairs.shape == (0,):
             return cls(n, 0)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("edges must be (i, j) pairs")
-        # np.array reads True as 1 (False as 0, which the range check refuses)
-        if pairs.dtype.kind not in "iu" or any(
-                type(edges[k // 2][k % 2]) is bool for k in np.flatnonzero(pairs == 1)):
+        # np.asarray reads True as 1 (False as 0, which the range check refuses);
+        # an (e, 2) integer array holds no bool
+        if pairs.dtype.kind not in "iu" or (pairs is not edges and any(
+                type(edges[k // 2][k % 2]) is bool for k in np.flatnonzero(pairs == 1))):
             raise TypeError("edge endpoints must be integers")
-        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
         bad = (lo == hi) | (lo < 1) | (hi > n)
         if bad.any():
             k = int(np.argmax(bad))  # the first bad edge, as a scan would report it

@@ -538,6 +538,7 @@ _EVENT_LINE = re.compile(
     re.MULTILINE,
 )
 _CHUNK_CHARS = 1 << 18  # event text parsed at once; bounds the loader's memory
+_INIT_HEAD, _INIT_TAIL = '{"edges": [[', ']], "type": "init"}'  # around the edge text
 _EVENT_DTYPES = (np.float64, np.int32, np.int32, np.int8)  # times, i, j, values
 # %r of a finite float is the text json.dumps writes for it
 _EVENT_FMT = '{"i": %d, "j": %d, "t": %r, "type": "ev", "v": %d}\n'
@@ -576,9 +577,10 @@ def save_path(path: EventLogPath, file) -> None:
 def load_path(file) -> EventLogPath:
     """Read a JSONL path; malformed records raise with their line number.
 
-    Event lines are read in bounded chunks.  A chunk in save_path's layout
-    is parsed at once by one regular expression; any other chunk goes
-    through the per-record json parser where it stands, which alone writes
+    Event lines are read in bounded chunks.  A chunk in save_path's layout,
+    as one regular expression checks, is parsed by column, and so is an init
+    record in that layout, by linear checks of its text; any other chunk or
+    init record goes through the json parser where it stands, which alone writes
     the line-numbered errors.  So the accepted files and the error messages
     do not depend on the layout, and memory stays that of the canonical path.
     """
@@ -588,7 +590,7 @@ def load_path(file) -> EventLogPath:
             if not head[0]:
                 raise DataError(f"{file}: empty path file")
             header = _parse_record(file, 1, head[0], "header")
-            init = _parse_record(file, 2, head[1], "init")
+            init = _init_record(head[1]) or _parse_record(file, 2, head[1], "init")
             try:
                 n, horizon = header["n"], header["horizon"]
                 # JSON numbers only, as for event fields: int() would read 4.7 as 4
@@ -633,6 +635,31 @@ def load_path(file) -> EventLogPath:
     return path
 
 
+def _init_record(line: str) -> dict | None:
+    """The init record of a line in save_path's layout with an edge, else None.
+
+    The edge text must read "I, J], [I, J], ..., [I, J" with every endpoint one
+    to nine digits and no leading zero; json.loads reads the same integers from
+    such a text, and reads every other init line.  The checks are linear.
+    """
+    end = len(line) - line.endswith("\n")
+    if not (line.startswith(_INIT_HEAD) and line.endswith(_INIT_TAIL, 0, end)):
+        return None
+    text = line[len(_INIT_HEAD):end - len(_INIT_TAIL)].encode()
+    seps = text.translate(None, b"0123456789")  # must be ", " and "], [" in turn
+    pairs = (len(seps) + 4) // 6
+    if (seps != b", ], [" * (pairs - 1) + b", "  # and no digit splits a separator:
+            or text.count(b", ") != 2 * pairs - 1 or text.count(b"], [") != pairs - 1):
+        return None
+    text = text.translate(None, b" []")  # I,J,I,J,...: no endpoint empty or led by 0
+    if text[:1] in b",0" or text.endswith(b",") or b",," in text or b",0" in text:
+        return None
+    flat = np.fromstring(text, dtype=np.int64, sep=",")
+    if flat.max() >= 10**9:  # ten digits or more
+        return None
+    return {"edges": flat.reshape(pairs, 2)}
+
+
 def _parse_record(file, lineno: int, line: str, want: str) -> dict:
     try:
         rec = json.loads(line)
@@ -652,9 +679,8 @@ def _parse_record(file, lineno: int, line: str, want: str) -> dict:
 def _events(file, fh, n: int, horizon: float):
     """(times, i, j, values) of the remaining lines of fh, line 3 on, by chunks.
 
-    When the regular expression matches every line of a chunk (blank lines
-    included), deleting the key text leaves the numbers "i j t v" on each
-    line, and one np.fromstring parses them all.  A chunk with a line off
+    A chunk whose every line the regular expression matches (blank lines
+    included) is parsed by column in _event_columns.  A chunk with a line off
     that layout or an event out of range goes to _event_records instead.
     """
     cols = [[np.zeros(0, dtype)] for dtype in _EVENT_DTYPES]
@@ -663,17 +689,37 @@ def _events(file, fh, n: int, horizon: float):
         text = "".join(chunk)
         bulk = len(_EVENT_LINE.findall(text)) == len(chunk)
         if bulk:
-            digits = text.replace('"type": "ev", ', "").encode().translate(None, b'{}"ijtv:,')
-            rows = np.fromstring(digits, sep=" ").reshape(len(chunk), 4)
-            ei, ej = rows[:, 0].astype(np.int32), rows[:, 1].astype(np.int32)
-            times = rows[:, 2].copy()
+            times, ei, ej, values = _event_columns(text.encode())
             bulk = np.all((ei < ej) & (ej <= n) & (times > 0.0) & (times <= horizon))
-        events = ((times, ei, ej, rows[:, 3].astype(np.int8)) if bulk
+        events = ((times, ei, ej, values) if bulk
                   else _event_records(file, chunk, lineno, n, horizon))
         for col, arr in zip(cols, events):
             col.append(arr)
         lineno += len(chunk)
     return tuple(np.concatenate(col) for col in cols)
+
+
+def _event_columns(text: bytes):
+    """(times, i, j, values) of lines that all match _EVENT_LINE.
+
+    Such a line has four commas, after i, j, t and "ev", and each field starts
+    a fixed distance after the comma before it.  All i fields, then all j and
+    all t fields, each with its comma, are gathered into one text: its integer
+    part and its float part take one np.fromstring each.  v is read directly.
+    """
+    b = np.frombuffer(text, np.uint8)
+    comma = np.flatnonzero(b == ord(",")).reshape(-1, 4)
+    lines = len(comma)
+    line_start = np.concatenate(([0], comma[:-1, 3] + len(', "v": 0}\n')))
+    starts = np.concatenate((line_start + len('{"i": '), comma[:, :2].T.ravel() + len(', "j": ')))
+    lengths = comma[:, :3].T.ravel() + 1 - starts
+    offsets = np.cumsum(lengths)
+    fields = b[np.repeat(starts + lengths - offsets, lengths) + np.arange(offsets[-1])].tobytes()
+    cut = int(offsets[2 * lines - 1])
+    ij = np.fromstring(fields[:cut], dtype=np.int32, sep=",")
+    times = np.fromstring(fields[cut:], sep=",")
+    values = (b[comma[:, 3] + len(', "v": ')] - ord("0")).astype(np.int8)
+    return times, ij[:lines], ij[lines:], values
 
 
 def _event_records(file, lines: list[str], first_lineno: int, n: int, horizon: float):

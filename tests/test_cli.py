@@ -188,6 +188,18 @@ def test_simulate_writes_loadable_path(tmp_path, capsys):
     assert path.model_meta["model"] == "edge-flip"
 
 
+def test_config_vertex_count_of_4000_digits_exits_3_naming_the_limit(tmp_path, capsys):
+    # C(n, 2) has about 8,000 digits, past what Python turns into text
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("vertices = " + "9" * 4000 + "\n")
+    out = tmp_path / "p.jsonl"
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (f"error: {cfg}: line 1: n of over 20 digits has more "
+                                       f"vertex pairs, over the limit of {MAX_VERTEX_PAIRS}\n")
+    assert not out.exists()
+
+
 def test_simulate_oversized_vertex_count_exits_2(tmp_path, capsys):
     out = tmp_path / "big.jsonl"
     assert main(["simulate", "--vertices", "6000", "--out", str(out)]) == 2
@@ -488,6 +500,7 @@ def test_config_file_errors_exit_3_with_line(tmp_path, capsys):
     ("vertices = 3.5", "vertices", "int"),
     ('alphas = [2.5, "x"]', "alphas", "tuple[float, ...]"),
     ("seed = true", "seed", "int"),
+    ("seed = 1.5", "seed", "int"),
     ("m_grid = [8, 4.0]", "m_grid", "tuple[int, ...] | None"),
 ])
 def test_config_value_of_wrong_type_exits_3_with_line(tmp_path, capsys, line, key, kind):
@@ -552,6 +565,7 @@ def test_config_value_runconfig_refuses_exits_3_with_line(tmp_path, capsys, line
     (["simulate", "--vertices", "1"], "vertices must be at least 2"),
     (["analyze", "--path", "unread.jsonl", "--p-grid", "0.2,1.5"],
      "p_grid values must lie strictly between 0 and 1"),
+    (["verify", "--seed", "-1"], "seed must be nonnegative"),
 ])
 def test_same_values_as_flags_exit_2(tmp_path, capsys, args, message):
     out = tmp_path / "p.jsonl"
@@ -569,7 +583,7 @@ REFUSED = [
     ("init_density", "simulate", ["--init-density", "1.5"], "1.5",
      "init_density must lie in [0, 1]"),
     ("horizon", "simulate", ["--horizon", "0"], "0", "horizon must be positive"),
-    ("seed", "simulate", None, "1.5", "seed must be of type int, got 1.5"),
+    ("seed", "simulate", ["--seed", "-1"], "-1", "seed must be nonnegative"),
     ("boost_factor", "simulate", ["--boost-factor", "nan"], "NaN",
      "boost_factor must be finite, got nan"),
     ("p_grid", "analyze", ["--p-grid", "0.2,1.5"], "[0.2, 1.5]",

@@ -1,11 +1,12 @@
 import io
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -41,6 +42,7 @@ from graphvar.process import (
     snapshot,
     _event_records,
     _events,
+    _init_record,
     _pair_order,
 )
 
@@ -644,6 +646,88 @@ def test_fast_loader_matches_record_parser(tmp_path, case):
 @settings(max_examples=60, deadline=None)
 def test_fast_loader_matches_record_parser_random(tmp_path_factory, path):
     assert_fast_loader_matches_records(path, tmp_path_factory.mktemp("loader"))
+
+
+def event_line(i, j, t, v):
+    return f'{{"i": {i}, "j": {j}, "t": {t!r}, "type": "ev", "v": {v}}}\n'
+
+
+# (event lines, n, horizon) in save_path's layout, off the simulators' paths
+COLUMN_CASES = {
+    "exponent times": ("".join(event_line(1, 2, t, 1) for t in (5e-324, 1e-05, 1.5e300)),
+                       2, 1.5e300),
+    "no final newline": (event_line(1, 3, 0.25, 1) + event_line(2, 3, 0.5, 0).rstrip("\n"),
+                         3, 1.0),
+    "one line": (event_line(2, 7, 0.75, 0), 7, 1.0),
+    "4-digit endpoints": (event_line(1234, 5678, 0.125, 1) + event_line(999, 1000, 0.5, 0),
+                          5678, 1.0),
+    "9-digit endpoints": (event_line(123456789, 999999999, 0.5, 1), 999999999, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLUMN_CASES))
+def test_event_columns_match_record_parser(case):
+    text, n, horizon = COLUMN_CASES[case]
+    lines = text.splitlines(keepends=True)
+    with mock.patch.object(process, "_event_records", side_effect=AssertionError("a chunk missed")):
+        fast = _events("p.jsonl", io.StringIO(text), n, horizon)
+    slow = _event_records("p.jsonl", lines, 3, n, horizon)
+    for a, b in zip(fast, slow):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert fast[0].size == len(lines)
+
+
+def test_truncated_number_parse_fails(monkeypatch):
+    # a time the column parser cannot read to its end, let through a looser gate:
+    # numpy 2 raises, and numpy 1.x's DeprecationWarning is an error under pytest
+    monkeypatch.setattr(process, "_EVENT_LINE", re.compile(r"^.+$", re.MULTILINE))
+    with pytest.raises((ValueError, DeprecationWarning), match="could not be read to its end"):
+        _events("p.jsonl", io.StringIO(event_line(1, 2, 0.5, 1).replace("0.5", "0.5x")), 2, 1.0)
+
+
+@st.composite
+def init_lines(draw):
+    """Init lines in save_path's layout, about half of them edited in one to three
+    places; the header's n is 9, so some endpoints are out of range."""
+    endpoint = st.one_of(st.integers(1, 12), st.integers(1, 10**12)).map(str)
+    pairs = draw(st.lists(st.tuples(endpoint, endpoint), max_size=6))
+    text = f"[{'], ['.join(f'{i}, {j}' for i, j in pairs)}]" if pairs else ""
+    for _ in range(draw(st.integers(0, 3)) if draw(st.booleans()) else 0):
+        k = draw(st.integers(0, len(text)))  # insert, replace or delete one character
+        ch, width = draw(st.sampled_from(["", *"0123456789, []x"])), draw(st.integers(0, 1))
+        text = text[:k] + ch + text[k + width:]
+    return '{"edges": [' + text + '], "type": "init"}\n'
+
+
+@given(init_lines())
+@example('{"edges": [[1, 2, 3], [4]], "type": "init"}\n')
+@example('{"edges": [[01, 2]], "type": "init"}\n')
+@example('{"edges": [[1, 2], [3, 04]], "type": "init"}\n')
+@example('{"edges": [[1, 2], [3, 0]], "type": "init"}\n')
+@example('{"edges": [[1,5 2], [3, 4]], "type": "init"}\n')
+@example('{"edges": [[1, 2]5, [3, 4]], "type": "init"}\n')
+@example('{"edges": [[1, ], [3, 4]], "type": "init"}\n')
+@example('{"edges": [[1, 2], [3, ]], "type": "init"}\n')
+@example('{"edges": [[1, 1000000000]], "type": "init"}\n')
+@example('{"edges": [[1, 99999999999999999999]], "type": "init"}\n')
+@example('{"edges": [], "type": "init"}\n')
+@example('{"edges": [[1,2], [3, 4]], "type": "init"}\n')
+@settings(max_examples=300, deadline=None)
+def test_init_bulk_path_matches_json(tmp_path_factory, line):
+    bulk = _init_record(line)
+    if bulk is not None:
+        assert bulk["edges"].dtype == np.int64
+        assert np.array_equal(bulk["edges"], json.loads(line)["edges"])
+    f = tmp_path_factory.mktemp("init") / "p.jsonl"
+    f.write_text('{"horizon": 1.0, "n": 9, "type": "header"}\n' + line)
+    outcomes = []
+    for parse in (_init_record, lambda line: None):
+        with mock.patch.object(process, "_init_record", parse):
+            try:
+                outcomes.append(load_path(f).initial)
+            except DataError as exc:
+                outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_save_path_refuses_non_finite_values(tmp_path):
