@@ -29,6 +29,7 @@ from .graphs import (
     AdjacencyGraph,
     DataError,
     InjectiveMap,
+    Refused,
     apply_map,
     density_quantum,
     er_sample,

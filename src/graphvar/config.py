@@ -68,10 +68,14 @@ class RunConfig:
             raise ValueError("horizon must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.boost_factor < 0:
+            raise ValueError("boost_factor must be nonnegative")
         if not self.p_grid or any(not (0.0 < p < 1.0) for p in self.p_grid):
             raise ValueError("p_grid values must lie strictly between 0 and 1")
         if self.m_grid is not None and (not self.m_grid or any(m < 2 for m in self.m_grid)):
             raise ValueError("m_grid must be nonempty, with windows of at least 2")
+        if not self.alphas:
+            raise ValueError("alphas must be nonempty")
         if any(a <= 0 for a in self.alphas):
             raise ValueError("alphas must be positive")
         if not 1 <= self.n_max <= LEVEL_HARD_CAP:

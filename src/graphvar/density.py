@@ -23,6 +23,7 @@ from .graphs import (
     MAX_VERTEX_PAIRS,
     AdjacencyGraph,
     DataError,
+    Refused,
     num_pairs,
     pair_endpoints,
     pair_index,
@@ -67,7 +68,7 @@ def _exact_counts(host: AdjacencyGraph, k: int, budget: int) -> tuple[np.ndarray
     m = host.n
     _require_level(k, m)
     if (cost := _exact_cost(m, k)) > budget:
-        raise ValueError(
+        raise Refused(
             f"exact count needs {cost} {'word ANDs' if k <= 3 else 'tuples'} "
             f"at level {k} on {m} vertices, over the budget of {budget}; use density_mc instead"
         )
@@ -184,8 +185,8 @@ def _mc_codes(adj: np.ndarray, k: int, n_samples: int, seed) -> np.ndarray:
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if k * n_samples > MAX_VERTEX_PAIRS:
-        raise ValueError(f"k_inj={n_samples} samples of {k}-tuples need {k * n_samples} "
-                         f"vertices, over the limit of {MAX_VERTEX_PAIRS}")
+        raise Refused(f"k_inj={n_samples} samples of {k}-tuples need {k * n_samples} "
+                      f"vertices, over the limit of {MAX_VERTEX_PAIRS}")
     codes = np.zeros(n_samples, dtype=np.int64)
     if k == 1:
         return codes

@@ -20,6 +20,10 @@ class DataError(ValueError):
     """An input file is malformed; the message names the file and the line."""
 
 
+class Refused(ValueError):
+    """Valid inputs that a computation declines as documented, e.g. over a budget."""
+
+
 def num_pairs(n: int) -> int:
     """C(n, 2), with the convention C(1, 2) = 0."""
     return n * (n - 1) // 2

@@ -12,6 +12,7 @@ import numpy as np
 from .graphs import (
     MAX_VERTEX_PAIRS,
     AdjacencyGraph,
+    Refused,
     num_pairs,
     pair_endpoints,
     sym_diff_count,
@@ -66,8 +67,8 @@ def relabelings(n: int, k: int, seed) -> tuple[np.ndarray, bool]:
     if k < 2:
         raise ValueError("need at least two Monte Carlo relabelings")
     if k * n > MAX_VERTEX_PAIRS:
-        raise ValueError(f"k_perm={k} relabelings of {n} vertices need {k * n} "
-                         f"positions, over the limit of {MAX_VERTEX_PAIRS}")
+        raise Refused(f"k_perm={k} relabelings of {n} vertices need {k * n} "
+                      f"positions, over the limit of {MAX_VERTEX_PAIRS}")
     # int64 (intp): the head cells and the inverse positions built from these
     # rows are gather indices, which numpy would otherwise convert per gather
     rows = np.tile(np.arange(n, dtype=np.int64), (k, 1))

@@ -22,10 +22,12 @@ from .graphs import (
     MAX_VERTEX_PAIRS,
     AdjacencyGraph,
     DataError,
+    Refused,
     check_vertex_count,
     first_non_ascii_line,
     num_pairs,
     pair_endpoints,
+    pair_index,
     pair_indices,
     seed_list,
 )
@@ -251,8 +253,7 @@ class JumpCounts:
     counts: np.ndarray
 
     def get(self, i: int, j: int) -> int:
-        a, b = (i, j) if i < j else (j, i)
-        return int(self.counts[pair_indices(np.array([a]), np.array([b]), self.n)[0]])
+        return int(self.counts[pair_index(min(i, j), max(i, j), self.n)])
 
     @property
     def max_jumps(self) -> int:
@@ -312,7 +313,7 @@ def _draw_edge_flip(
     mult = np.ones(npairs)
     if boost_edge is not None:
         a, b = sorted(boost_edge)
-        mult[pair_indices(np.array([a]), np.array([b]), n)[0]] = boost_factor
+        mult[pair_index(a, b, n)] = boost_factor
 
     all_times = [np.zeros(0)]
     all_pairs = [np.zeros(0, dtype=np.int64)]
@@ -788,7 +789,7 @@ def exchangeability_check(
     sample and drives the p-value to zero.
     """
     if seed_count < 20:
-        raise ValueError("seed_count below 20 is underpowered; refusing to test")
+        raise Refused("seed_count below 20 is underpowered; refusing to test")
     if not (1 <= window <= n):
         raise ValueError("window out of range")
     args = _generator_args(model, n, params)

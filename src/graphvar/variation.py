@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graphs import AdjacencyGraph, density_quantum, num_pairs, seed_list
+from .graphs import AdjacencyGraph, Refused, density_quantum, num_pairs, seed_list
 from .metrics import partial_zeta, prefix_distances, relabeling_mean, relabelings
 from .process import EventLogPath, apply_events, jump_counts
 
@@ -103,7 +103,7 @@ def stopping_ladder(path: EventLogPath, p: float) -> StoppingLadder:
     n = path.n
     quantum = density_quantum(n)
     if p < quantum:
-        raise ValueError(
+        raise Refused(
             f"threshold p={p} is below the density quantum {quantum:.3g} "
             f"at n={n}; crossings are not resolvable"
         )
@@ -166,7 +166,11 @@ class LadderProfile:
 
     @property
     def sup_product(self) -> float:
-        return max((lad.product for lad in self.ladders), default=0.0)
+        """max p * n_p over the ladders; refused when no grid value was resolvable."""
+        if not self.ladders:
+            raise Refused(f"threshold grid {list(self.skipped)} lies wholly below the density "
+                          f"quantum {density_quantum(self.n):.3g} at n={self.n}; no sup to bound")
+        return max(lad.product for lad in self.ladders)
 
 
 def np_profile(path: EventLogPath, ps: Sequence[float]) -> LadderProfile:
@@ -237,7 +241,7 @@ def dyadic_diagnostic(path: EventLogPath, p0: float, k_max: int) -> DyadicDiagno
     ps = tuple(p0 * 0.5**k for k in range(k_max + 1))
     quantum = density_quantum(path.n)
     if ps[-1] < quantum:
-        raise ValueError(
+        raise Refused(
             f"halving grid reaches p={ps[-1]:.3g} below the density quantum "
             f"{quantum:.3g} at n={path.n}; reduce k_max"
         )
@@ -398,7 +402,7 @@ def variation_bound_check(
     """
     alphas = tuple(alphas)
     if any(a <= 2.0 for a in alphas):
-        raise ValueError("the variation bound needs alpha > 2")
+        raise Refused("the variation bound needs alpha > 2")
     n = path.n
     sup_profile = np_profile(path, list(grid_for_sup) if grid_for_sup else list(ps))
     sup = sup_profile.sup_product

@@ -4,8 +4,8 @@ run against fresh simulations and reported as one structured result per check.
 Each check body returns what it measured: its inequality, the two sides, and
 whether it held.  The runner (run_check) names and times the check and gives
 it a status: "pass", "pass-with-slack" (holds only inside the Monte Carlo
-allowance), "fail", "skipped" (refused inputs, e.g. sub-quantum thresholds),
-or "error" (the check raised an unexpected exception).  A report passes
+allowance), "fail", "skipped" (a Refused: valid inputs declined as documented),
+or "error" (any other exception, a bare ValueError included).  A report passes
 unless some check is "fail" or "error" (report_passes), and `graphvar
 report` applies the same rule to a saved report.  Checks derive every stream
 from the configured base seed, so two runs with the same configuration
@@ -33,7 +33,7 @@ from .density import (
     weight_admissibility,
     weight_family,
 )
-from .graphs import AdjacencyGraph, density_quantum, er_sample, num_pairs
+from .graphs import AdjacencyGraph, Refused, density_quantum, er_sample, num_pairs
 from .metrics import perm_prefix_power, prefix_power_series, slln_statistic
 from .process import (
     exchangeability_check,
@@ -249,27 +249,15 @@ def _check_alpha_variation_bound(cfg: RunConfig, adversarial: bool) -> Measured:
         path, ps=(0.1, 0.05), alphas=cfg.alphas, k_perm=cfg.k_perm,
         seed=[cfg.seed, 1051], grid_for_sup=cfg.p_grid,
     )
-    ok = True
-    needed_slack = False
-    worst_margin = math.inf
-    worst = None
-    rows = []
-    for row in rep.rows:
-        ok = ok and row.ok and row.steps_ok
-        needed_slack = needed_slack or row.lhs > row.rhs or any(
-            s.lhs > s.rhs for s in row.steps
-        )
-        margin = row.rhs + 3 * row.stderr - row.lhs
-        rows.append({"p": row.p, "alpha": row.alpha, "lhs": row.lhs,
-                     "rhs": row.rhs, "stderr": row.stderr,
-                     "steps": len(row.steps), "steps_ok": row.steps_ok})
-        if margin < worst_margin:
-            worst_margin = margin
-            worst = row
+    worst = min(rep.rows, key=lambda row: row.rhs + 3 * row.stderr - row.lhs)
+    rows = [{"p": row.p, "alpha": row.alpha, "lhs": row.lhs, "rhs": row.rhs,
+             "stderr": row.stderr, "steps": len(row.steps), "steps_ok": row.steps_ok}
+            for row in rep.rows]
     return Measured(
-        statement, ok, lhs=worst.lhs if worst else None, rhs=worst.rhs if worst else None,
-        needed_slack=needed_slack,
-        stderr_budget=3 * worst.stderr if worst else None,
+        statement, rep.ok, lhs=worst.lhs, rhs=worst.rhs,
+        needed_slack=any(row.lhs > row.rhs or any(s.lhs > s.rhs for s in row.steps)
+                         for row in rep.rows),
+        stderr_budget=3 * worst.stderr,
         details={"vertices": 256, "rate": 4.0, "k_perm": cfg.k_perm,
                  "cells": rows, "sup_grid": list(cfg.p_grid)},
     )
@@ -464,15 +452,15 @@ CHECKS = {
 def run_check(name: str, cfg: RunConfig, adversarial: bool = False) -> CheckResult:
     """Run the check registered under `name` and time it.
 
-    A check that raises ValueError refused its inputs and is "skipped"; any
-    other exception is recorded as "error", which fails the report.
+    A check that raises Refused declined its inputs and is "skipped"; any other
+    exception, a bare ValueError included, is "error", which fails the report.
     """
     check = CHECKS[name]
     t0 = time.perf_counter()
     try:
         m = check(cfg, adversarial)
         status = m.status
-    except ValueError as exc:
+    except Refused as exc:
         m = Measured("check refused its inputs", False, None, None, {"reason": str(exc)})
         status = "skipped"
     except Exception as exc:  # one broken check must not end the report

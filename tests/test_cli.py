@@ -603,7 +603,16 @@ def test_refused_values_cover_every_field():
     assert [r[0] for r in REFUSED] == [f.name for f in dataclasses.fields(RunConfig)]
 
 
-@pytest.mark.parametrize("field,command,flag,value,reason", REFUSED, ids=[r[0] for r in REFUSED])
+# a second rule of a field, under its own id, so the ids above stay as they are
+MORE_REFUSED = [
+    ("alphas", "analyze", ["--alphas", ""], "[]", "alphas must be nonempty"),
+    ("boost_factor", "simulate", ["--boost-factor", "-1"], "-1",
+     "boost_factor must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("field,command,flag,value,reason", REFUSED + MORE_REFUSED,
+                         ids=[r[0] for r in REFUSED] + ["alphas-empty", "boost_factor-negative"])
 def test_each_field_is_refused_alike_as_flag_and_config_line(
         tmp_path, capsys, field, command, flag, value, reason):
     out = tmp_path / "p.jsonl"

@@ -156,6 +156,21 @@ def test_boosted_edge_gets_extra_flips():
     assert path.model_meta["params"]["boost_edge"] == [1, 2]
 
 
+@pytest.mark.parametrize("edge", [(0, 2), (2, 2), (3, 5)])
+def test_boost_edge_out_of_range_is_refused(edge):
+    # unchecked, (0, 2) boosted pair (2, 3) and (2, 2) pair (1, 4) on 4 vertices
+    a, b = sorted(edge)
+    with pytest.raises(ValueError, match=rf"^pair \({a}, {b}\) out of range for n=4$"):
+        simulate_edge_flip(4, 1.0, seed=1, boost_edge=edge, boost_factor=50)
+
+
+@pytest.mark.parametrize("i,j", [(0, 2), (2, 0), (2, 2), (3, 5)])
+def test_jump_counts_get_refuses_out_of_range_pairs(i, j):
+    jc = jump_counts(simulate_edge_flip(4, 1.0, seed=1))
+    with pytest.raises(ValueError, match="out of range for n=4"):
+        jc.get(i, j)
+
+
 def test_snapshot_matches_replay():
     path = simulate_edge_flip(12, 3.0, seed=15)
     for t in (0.0, 0.1, 0.25, 0.5, 0.77, 1.0):

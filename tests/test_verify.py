@@ -1,10 +1,22 @@
 import math
 import time
 
+import numpy as np
 import pytest
 
 from graphvar import verify
+from graphvar.cli import main
 from graphvar.config import RunConfig
+from graphvar.density import _exact_counts, _mc_codes
+from graphvar.graphs import AdjacencyGraph, Refused
+from graphvar.metrics import relabelings
+from graphvar.process import exchangeability_check, simulate_edge_flip
+from graphvar.variation import (
+    dyadic_diagnostic,
+    np_profile,
+    stopping_ladder,
+    variation_bound_check,
+)
 from graphvar.verify import CHECKS, CheckResult, run_verification
 
 
@@ -72,6 +84,70 @@ def test_unexpected_exception_surfaces_as_error(monkeypatch):
     assert c.details["traceback"].rstrip().endswith("RuntimeError: boom")
     assert c.lhs is None and c.rhs is None
     assert not rep.ok and rep.to_dict()["ok"] is False
+
+
+def test_bare_value_error_surfaces_as_error(monkeypatch, capsys):
+    # only Refused is a declared refusal; a ValueError from a bug is no skip
+    def buggy(cfg, adversarial):
+        raise ValueError("bug")
+
+    monkeypatch.setitem(CHECKS, "weight-buggy", buggy)
+    rep = run_verification(only="weight-buggy")
+    c = rep.checks[0]
+    assert c.status == "error" and c.details["error"] == "ValueError: bug"
+    assert not rep.ok
+    assert main(["verify", "--only", "weight-buggy"]) == 1
+    out = capsys.readouterr().out
+    assert "weight-buggy: ERROR  ValueError: bug" in out and "result: FAIL" in out
+
+
+def _subquantum_path():
+    return simulate_edge_flip(8, 2.0, seed=3)  # density quantum 1/28
+
+
+REFUSAL_SITES = [
+    ("exact-budget", lambda: _exact_counts(AdjacencyGraph.complete(8), 4, 10),
+     "exact count needs 1680 tuples at level 4 on 8 vertices, over the budget of 10; "
+     "use density_mc instead"),
+    ("mc-samples", lambda: _mc_codes(np.zeros((8, 8), dtype=bool), 2, 2**23 + 1, 0),
+     "k_inj=8388609 samples of 2-tuples need 16777218 vertices, over the limit of 16777216"),
+    ("relabel-positions", lambda: relabelings(8, 2**21 + 1, 0),
+     "k_perm=2097153 relabelings of 8 vertices need 16777224 positions, "
+     "over the limit of 16777216"),
+    ("ladder-quantum", lambda: stopping_ladder(_subquantum_path(), 0.01),
+     "threshold p=0.01 is below the density quantum 0.0357 at n=8; "
+     "crossings are not resolvable"),
+    ("halving-grid", lambda: dyadic_diagnostic(_subquantum_path(), 0.2, 3),
+     "halving grid reaches p=0.025 below the density quantum 0.0357 at n=8; reduce k_max"),
+    ("alpha", lambda: variation_bound_check(_subquantum_path(), [0.2], alphas=(2.0,)),
+     "the variation bound needs alpha > 2"),
+    ("ks-seed-count", lambda: exchangeability_check("edge-flip", {"rate": 1.0}, 8, 19),
+     "seed_count below 20 is underpowered; refusing to test"),
+    ("empty-sup", lambda: np_profile(_subquantum_path(), [0.01, 0.02]).sup_product,
+     "threshold grid [0.01, 0.02] lies wholly below the density quantum 0.0357 at n=8; "
+     "no sup to bound"),
+]
+
+
+@pytest.mark.parametrize("call,message", [r[1:] for r in REFUSAL_SITES],
+                         ids=[r[0] for r in REFUSAL_SITES])
+def test_declared_refusals_raise_refused(call, message):
+    with pytest.raises(Refused) as got:
+        call()
+    assert str(got.value) == message
+
+
+def test_subquantum_grid_skips_both_ladder_checks():
+    cfg = RunConfig(p_grid=(1e-9,))
+    for name in ("jump-count-bound", "alpha-variation-bound"):
+        c = verify.run_check(name, cfg)
+        assert c.status == "skipped"
+        assert "below the density quantum" in c.details["reason"]
+    # the movement check reads fixed thresholds, not p_grid
+    a = verify.run_check("limit-tv-bound", cfg).to_dict()
+    b = verify.run_check("limit-tv-bound", RunConfig()).to_dict()
+    assert a.pop("runtime_s") >= 0 and b.pop("runtime_s") >= 0
+    assert a == b and a["status"] == "pass"
 
 
 def test_check_result_ok_semantics():
