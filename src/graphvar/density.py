@@ -97,26 +97,25 @@ def _popcount(x: np.ndarray) -> np.ndarray:
 
 
 def _degrees_and_triangles(host: AdjacencyGraph) -> tuple[np.ndarray, int]:
-    """Vertex degrees and the triangle count: common neighbours summed over the
-    edges i < j, over 3.  The rows are bit-packed into uint64 words and stored one
-    word column at a time; per column, every edge ANDs its endpoints' words (a
-    1-D gather), a block of _GATHER_BYTES // 8 edges at a time."""
+    """Vertex degrees and the triangle count, each triangle k < i < j once, at edge
+    (i, j) (Schank & Wagner, WEA 2005): row v packs the neighbours k < v into uint64
+    words, stored one word column at a time.  Column c holds the k >= 64c, so only
+    the edges with i >= 64c, in pair order a suffix of the edge list, AND its words
+    (a 1-D gather), a block of _GATHER_BYTES // 8 edges at a time."""
     m, w = host.n, -(-host.n // 64) * 64
     k = np.flatnonzero(host.to_pair_vector())
     ii, jj = pair_endpoints(m)
     i, j = ii[k], jj[k]
     adj = np.zeros((m, w), dtype=bool)
-    flat = adj.reshape(-1)
-    flat[i * w + j] = flat[j * w + i] = True
+    adj.reshape(-1)[j * w + i] = True
     cols = np.packbits(adj, axis=1, bitorder="little").view(np.uint64).T.copy()
     step, total = max(1, _GATHER_BYTES // 8), 0
-    for e0 in range(0, i.size, step):
-        ib, jb = i[e0 : e0 + step], j[e0 : e0 + step]
-        for col in cols:
-            x = col[ib]
-            x &= col[jb]
+    for col, start in zip(cols, np.searchsorted(i, np.arange(0, w, 64)).tolist()):
+        for e0 in range(start, i.size, step):
+            x = col[i[e0 : e0 + step]]
+            x &= col[j[e0 : e0 + step]]
             total += int(_popcount(x).sum())
-    return np.bincount(i, minlength=m) + np.bincount(j, minlength=m), total // 3
+    return np.bincount(i, minlength=m) + np.bincount(j, minlength=m), total
 
 
 def _closed_form_counts(host: AdjacencyGraph, k: int) -> np.ndarray:

@@ -153,7 +153,7 @@ class AdjacencyGraph:
         return cls(n, _pack(vec))
 
     def has_edge(self, i: int, j: int) -> bool:
-        if i == j:
+        if i == j and 1 <= i <= self.n:
             return False
         a, b = (i, j) if i < j else (j, i)
         return bool((self.bits >> pair_index(a, b, self.n)) & 1)

@@ -539,7 +539,8 @@ _EVENT_LINE = re.compile(
     re.MULTILINE,
 )
 _CHUNK_CHARS = 1 << 18  # event text parsed at once; bounds the loader's memory
-_INIT_HEAD, _INIT_TAIL = '{"edges": [[', ']], "type": "init"}'  # around the edge text
+_INIT_LAYOUTS = (('{"edges": [[', ']], "type": "init"}'),  # around an init record's edge
+                 ('{"type": "init", "edges": [[', ']]}'))  # text, in either key order
 _EVENT_DTYPES = (np.float64, np.int32, np.int32, np.int8)  # times, i, j, values
 # %r of a finite float is the text json.dumps writes for it
 _EVENT_FMT = '{"i": %d, "j": %d, "t": %r, "type": "ev", "v": %d}\n'
@@ -637,16 +638,19 @@ def load_path(file) -> EventLogPath:
 
 
 def _init_record(line: str) -> dict | None:
-    """The init record of a line in save_path's layout with an edge, else None.
+    """The init record of a line in one of _INIT_LAYOUTS with an edge, else None.
 
     The edge text must read "I, J], [I, J], ..., [I, J" with every endpoint one
     to nine digits and no leading zero; json.loads reads the same integers from
     such a text, and reads every other init line.  The checks are linear.
     """
     end = len(line) - line.endswith("\n")
-    if not (line.startswith(_INIT_HEAD) and line.endswith(_INIT_TAIL, 0, end)):
+    for head, tail in _INIT_LAYOUTS:
+        if line.startswith(head) and line.endswith(tail, 0, end):
+            break
+    else:
         return None
-    text = line[len(_INIT_HEAD):end - len(_INIT_TAIL)].encode()
+    text = line[len(head):end - len(tail)].encode()
     seps = text.translate(None, b"0123456789")  # must be ", " and "], [" in turn
     pairs = (len(seps) + 4) // 6
     if (seps != b", ], [" * (pairs - 1) + b", "  # and no digit splits a separator:

@@ -124,11 +124,14 @@ def test_closed_form_counts_across_packing_padding(m):
 def test_closed_form_counts_over_many_gather_chunks(monkeypatch, gather_bytes):
     # a block holds _GATHER_BYTES // 8 edges (at least one), so these sizes take
     # 1, 12, 162 and 562 edges at a time; the hosts at m = 70 hold 713
-    # (p = 0.3) and 2,156 (p = 0.9) edges, split into 2 to 2,156 blocks
+    # (p = 0.3) and 2,156 (p = 0.9) edges, split into 2 to 2,156 blocks.  At
+    # m = 130 rows span 3 word columns, read from edge 0, from the first edge
+    # with i >= 64 (1,913 of 2,560 and 5,587 of 7,534 edges) and from the one
+    # edge with i >= 128, if there is one (none at p = 0.3, 7,533 at p = 0.9)
     monkeypatch.setattr(density, "_GATHER_BYTES", gather_bytes)
-    for p in (0.3, 0.9):
-        host = er_sample(70, p, 80)
-        assert host.edge_count > 7 * 70
+    for m, p in [(70, 0.3), (70, 0.9), (130, 0.3), (130, 0.9)]:
+        host = er_sample(m, p, 80)
+        assert host.edge_count > 7 * m
         assert_closed_form_matches_walker(host)
 
 
@@ -149,6 +152,17 @@ def test_degrees_and_triangles_against_brute_force(m):
         deg, t = _degrees_and_triangles(host)
         assert (deg.tolist(), t) == brute_degrees_and_triangles(host), host
     assert _degrees_and_triangles(AdjacencyGraph.complete(m))[1] == math.comb(m, 3)
+
+
+def test_each_single_triangle_across_word_boundaries():
+    # the triangle k < i < j is counted once, at edge (i, j), from word column
+    # k // 64, which only the edges with i >= 64 (k // 64) read; these vertices
+    # put k, i and j on each side of the boundaries at 64 and 128
+    near = [62, 63, 64, 65, 127, 128, 129]
+    for k, i, j in itertools.combinations(near, 3):
+        host = AdjacencyGraph.from_edges(130, [(k + 1, i + 1), (k + 1, j + 1), (i + 1, j + 1)])
+        deg, t = _degrees_and_triangles(host)
+        assert t == 1 and (deg.tolist(), t) == brute_degrees_and_triangles(host), (k, i, j)
 
 
 def test_popcount_matches_int_bit_count():

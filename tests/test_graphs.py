@@ -57,6 +57,14 @@ def test_graph_construction_and_edges():
     assert AdjacencyGraph.empty(4).bits == 0
 
 
+def test_has_edge_checks_range_before_self_loops():
+    g = AdjacencyGraph.complete(4)
+    assert not g.has_edge(1, 1) and not g.has_edge(4, 4)
+    for i, j in [(9, 9), (0, 0), (5, 5), (0, 2), (2, 5)]:
+        with pytest.raises(ValueError, match=rf"pair \({min(i, j)}, {max(i, j)}\) out of range for n=4"):
+            g.has_edge(i, j)
+
+
 @pytest.mark.parametrize("n", [1, 2, 30])
 def test_edges_are_python_ints_in_pair_index_order(n):
     g = er_sample(n, 0.4, seed=n)

@@ -729,6 +729,46 @@ def init_lines(draw):
 @example('{"edges": [[1,2], [3, 4]], "type": "init"}\n')
 @settings(max_examples=300, deadline=None)
 def test_init_bulk_path_matches_json(tmp_path_factory, line):
+    assert_init_bulk_path_matches_json(tmp_path_factory, line)
+
+
+def other_key_order(line):
+    """An init line of init_lines with its two keys in the other order."""
+    return '{"type": "init", ' + line.removeprefix("{").replace(', "type": "init"}', "}")
+
+
+@given(init_lines())
+@example('{"edges": [[1, 2, 3], [4]], "type": "init"}\n')
+@example('{"edges": [[1, 2], [3, 04]], "type": "init"}\n')
+@example('{"edges": [[1, 2]5, [3, 4]], "type": "init"}\n')
+@example('{"edges": [], "type": "init"}\n')
+@settings(max_examples=150, deadline=None)
+def test_init_bulk_path_matches_json_in_other_key_order(tmp_path_factory, line):
+    assert_init_bulk_path_matches_json(tmp_path_factory, other_key_order(line))
+
+
+def test_init_key_orders_give_identical_arrays(tmp_path):
+    line = '{"edges": [[1, 2], [3, 9], [2, 7]], "type": "init"}\n'
+    other = other_key_order(line)
+    assert other == '{"type": "init", "edges": [[1, 2], [3, 9], [2, 7]]}\n'
+    a, b = _init_record(line)["edges"], _init_record(other)["edges"]
+    assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+    assert a.tolist() == [[1, 2], [3, 9], [2, 7]]
+    loaded = []
+    for k, text in enumerate((line, other)):
+        f = tmp_path / f"p{k}.jsonl"
+        f.write_text('{"horizon": 1.0, "n": 9, "type": "header"}\n' + text)
+        loaded.append(load_path(f).initial)
+    assert loaded[0] == loaded[1]
+    # any other layout is json's: a third key, or no space after a separator
+    for text in ('{"type": "init", "edges": [[1, 2]], "x": 1}\n',
+                 '{"type":"init", "edges": [[1, 2]]}\n', '{"type": "init", "edges": [[1, 2]] }\n'):
+        assert _init_record(text) is None, text
+
+
+def assert_init_bulk_path_matches_json(tmp_path_factory, line):
+    """The bulk parse, when it takes the line, reads json's integers, and the
+    loaded graph or DataError text is the same with and without it."""
     bulk = _init_record(line)
     if bulk is not None:
         assert bulk["edges"].dtype == np.int64
