@@ -5,11 +5,11 @@ Values are parsed as JSON where possible (numbers, booleans, lists, strings
 in quotes) and fall back to the bare string, so `model = edge-flip` and
 `p_grid = [0.2, 0.1]` both work; a `#` inside a JSON value starts no
 comment.  RunConfig alone validates, so a flag, a config line and a library
-call obey the same rules: each field has its type (an int passes as a float,
-a bool or a numpy integer is no int, a list is stored as a tuple), floats are
-finite, and values lie in range.  A config line is checked on its own and a
-refused one is a DataError naming its line; no rule spans two fields, so
-lines accepted one at a time are accepted together."""
+call obey the same rules: each field has its type (an int passes as a float
+and is stored as one, a bool or a numpy integer is no int, a list is stored
+as a tuple), floats are finite, and values lie in range.  A config line is
+checked on its own and a refused one is a DataError naming its line; no rule
+spans two fields, so lines accepted one at a time are accepted together."""
 
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ import typing
 from dataclasses import dataclass
 
 from .density import LEVEL_HARD_CAP, weight_family
-from .graphs import DataError
-from .process import MODELS, check_vertex_count
+from .graphs import DataError, check_vertex_count
+from .process import MODELS
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,16 @@ class RunConfig:
             value = getattr(self, name)
             if name in _TUPLE_KEYS and isinstance(value, list):
                 value = tuple(value)
-                object.__setattr__(self, name, value)
             if not _conforms(value, hint):
                 raise ValueError(f"{name} must be of type {RunConfig.__annotations__[name]}, "
                                  f"got {value!r}")
+            if hint in (float, tuple[float, ...]):  # an int given here is stored as a float
+                try:
+                    value = float(value) if hint is float else tuple(map(float, value))
+                except OverflowError:
+                    raise ValueError(f"{name} must be finite, got an integer too large "
+                                     "for a float") from None
+            object.__setattr__(self, name, value)
             if any(isinstance(v, float) and not math.isfinite(v)
                    for v in (value if isinstance(value, tuple) else (value,))):
                 raise ValueError(f"{name} must be finite, got {value!r}")

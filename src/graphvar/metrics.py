@@ -89,19 +89,18 @@ def prefix_distances(
     is below m: the distance is 1 / q when q < m, and 0 otherwise.
 
     A random relabeling meets its first disagreement early, near position
-    sqrt(2 / density).  So the head path sets a segment's pairs in a flat
-    n x n disagreement matrix and reads, per relabeling, only the L (L - 1) / 2
-    cells of the head position pairs u < t, L = min(n, HEAD_POSITIONS), ordered
-    by t: q is the t of the first cell set.  The cells' numbers depend only on
-    the rows, so they are computed once per call.  Relabelings with no
-    disagreement in the head fall back to the exact gather, which reads both
-    relabeled endpoints of every disagreeing pair from the inverse positions
-    of those rows alone.  The exact path runs that gather for every row, on
-    the inverse positions of all rows, argsorted once per call.  A segment
-    takes the path with fewer expected reads per row: 2 |pairs| for the exact
-    path; L^2 for the head, plus an n log2 n argsort and the 2 |pairs| gather
-    for the share of rows whose head holds no disagreement, (1 - density)
-    ^ (L (L - 1) / 2).  Both paths give the same integer q.
+    sqrt(2 / density).  So a segment's optional head step sets its pairs in a
+    flat n x n disagreement matrix and reads, per relabeling, only the
+    L (L - 1) / 2 cells of the head position pairs u < t, L = min(n,
+    HEAD_POSITIONS), ordered by t: q is the t of the first cell set.  The
+    cells' numbers depend only on the rows, so they are computed once per
+    call.  Every row the head leaves open (every row, when the segment skips
+    the head) takes the gather, which reads both relabeled endpoints of each
+    disagreeing pair from one table of inverse positions, argsorted at most
+    once per call.  A segment uses the head when its L^2 reads cost less than
+    the 2 |pairs| gather reads it spares each row whose head holds a
+    disagreement, a share 1 - (1 - density) ^ (L (L - 1) / 2) of the rows.
+    Both steps give the same integer q.
     """
     q = np.full((len(pairs), perms.shape[0]), n)
     ii, jj = pair_endpoints(n)
@@ -113,27 +112,23 @@ def prefix_distances(
         if idx.size == 0:
             continue
         a, b = ii[idx], jj[idx]
-        # expected reads per row: the head's L^2 cells, then, for the rows
-        # whose head pairs miss every disagreement, an argsort and the gather
-        p_miss = (1 - idx.size / npairs) ** (head * (head - 1) // 2)
-        if head * head + p_miss * (2 * idx.size + n * math.log2(n)) >= 2 * idx.size:
+        use_head = head * head < 2 * idx.size * (1 - (1 - idx.size / npairs) ** t_of.size)
+        if use_head:
+            if cells is None:
+                cells = perms[:, t_of] * n + perms[:, u_of]
+            dense = np.zeros(n * n, dtype=bool)
+            dense[a * n + b] = dense[b * n + a] = True
+        for lo in range(0, perms.shape[0], RELABEL_BATCH):
+            rows = slice(lo, lo + RELABEL_BATCH)
+            if use_head:
+                hit = dense[cells[rows]]
+                q[s, rows] = t_of[hit.argmax(axis=1)]
+                rows = lo + np.flatnonzero(~hit.any(axis=1))  # the rows left open
+                if rows.size == 0:
+                    continue
             if inv is None:
                 inv = np.argsort(perms, axis=1)
-            for lo in range(0, perms.shape[0], RELABEL_BATCH):
-                hi = lo + RELABEL_BATCH
-                q[s, lo:hi] = _first_disagreement(inv[lo:hi], a, b)
-            continue
-        if cells is None:
-            cells = perms[:, t_of] * n + perms[:, u_of]
-        dense = np.zeros(n * n, dtype=bool)
-        dense[a * n + b] = dense[b * n + a] = True
-        for lo in range(0, perms.shape[0], RELABEL_BATCH):
-            hit = dense[cells[lo : lo + RELABEL_BATCH]]
-            first = t_of[hit.argmax(axis=1)]
-            miss = np.flatnonzero(~hit.any(axis=1))
-            if miss.size:
-                first[miss] = _first_disagreement(np.argsort(perms[lo + miss], axis=1), a, b)
-            q[s, lo : lo + RELABEL_BATCH] = first
+            q[s, rows] = _first_disagreement(inv[rows], a, b)
     d = 1.0 / np.maximum(q, 1)
     return {m: np.where(q < m, d, 0.0) for m in windows}
 

@@ -19,7 +19,6 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .graphs import (
-    MAX_VERTEX_PAIRS,
     AdjacencyGraph,
     DataError,
     Refused,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphvar.cli import main
+from graphvar.cli import _build_parser, _resolve, main
 from graphvar.config import (
     RunConfig,
     parse_config_text,
@@ -22,8 +22,8 @@ from graphvar.config import (
     resolve_config,
 )
 from graphvar.density import load_density_vector
-from graphvar.graphs import DataError, write_edge_list, er_sample
-from graphvar.process import MAX_VERTEX_PAIRS, load_path
+from graphvar.graphs import MAX_VERTEX_PAIRS, DataError, write_edge_list, er_sample
+from graphvar.process import load_path
 from graphvar.variation import default_windows
 from graphvar.verify import CHECKS
 
@@ -530,6 +530,28 @@ def test_config_integer_passes_as_float(tmp_path):
     assert load_path(out).model_meta["params"]["rate_values"] == [2]
 
 
+@pytest.mark.parametrize("command,line,flags", [
+    ("simulate", "horizon = 1", ["--horizon", "1"]),
+    ("analyze", "alphas = [2.5, 3]", ["--alphas", "2.5,3"]),
+])
+def test_config_integer_is_stored_as_the_flag_float(tmp_path, command, line, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    base = [command, *{"simulate": ["--out", "unwritten.jsonl"],
+                       "analyze": ["--path", "unread.jsonl"]}[command]]
+    parse = _build_parser().parse_args
+    from_line = _resolve(parse([*base, "--config", str(cfg)]))
+    from_flags = _resolve(parse([*base, *flags]))
+    assert repr(from_line) == repr(from_flags)  # 1.0, not 1: equality alone would pass
+
+
+def test_verify_roundtrip_passes_with_an_integer_horizon(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("horizon = 1\n")
+    assert main(["verify", "--config", str(cfg), "--only", "roundtrip"]) == 0
+    assert "determinism-roundtrip: PASS" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("line", ["rate = NaN", "horizon = Infinity",
                                   "boost_factor = -Infinity", "p_grid = [0.2, NaN]",
                                   "rate = 1e999"])
@@ -608,11 +630,17 @@ MORE_REFUSED = [
     ("alphas", "analyze", ["--alphas", ""], "[]", "alphas must be nonempty"),
     ("boost_factor", "simulate", ["--boost-factor", "-1"], "-1",
      "boost_factor must be nonnegative"),
+    # 401 digits: too large for a float, and named by the field, not the digits
+    *((field, "simulate", None, "9" * 401,
+       f"{field} must be finite, got an integer too large for a float\n")
+      for field in ("horizon", "rate", "boost_factor")),
 ]
 
 
 @pytest.mark.parametrize("field,command,flag,value,reason", REFUSED + MORE_REFUSED,
-                         ids=[r[0] for r in REFUSED] + ["alphas-empty", "boost_factor-negative"])
+                         ids=[r[0] for r in REFUSED] + ["alphas-empty", "boost_factor-negative",
+                                                        "horizon-huge-int", "rate-huge-int",
+                                                        "boost_factor-huge-int"])
 def test_each_field_is_refused_alike_as_flag_and_config_line(
         tmp_path, capsys, field, command, flag, value, reason):
     out = tmp_path / "p.jsonl"

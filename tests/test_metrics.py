@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphvar.graphs import (
@@ -17,6 +17,8 @@ from graphvar.graphs import (
 )
 from graphvar.metrics import (
     EXACT_PERM_LIMIT,
+    HEAD_POSITIONS,
+    RELABEL_BATCH,
     edit_density,
     partial_zeta,
     perm_prefix_power,
@@ -154,6 +156,9 @@ def test_prefix_distances_match_scalar_oracle(n, k):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(8, 48), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+# near the head rule's crossover: 394 disagreeing pairs take the head step,
+# and 2 of the 8 relabelings meet none in the head and take the gather
+@example(n=256, density=384 / num_pairs(256), seed=3)
 def test_prefix_distances_match_scalar_oracle_at_any_density(n, density, seed):
     g = er_sample(n, density, [82, seed])
     empty = AdjacencyGraph.empty(n)
@@ -164,6 +169,23 @@ def test_prefix_distances_match_scalar_oracle_at_any_density(n, density, seed):
         re_, rg = relabeled(empty, row), relabeled(g, row)
         for m in windows:
             assert dist[m][0, r] == prefix_metric(project(re_, m), project(rg, m))
+
+
+def test_prefix_distances_build_one_inverse_table_per_call(monkeypatch):
+    n, k = 256, 2 * RELABEL_BATCH
+    perms, _ = relabelings(n, k, seed=7)
+    rng = np.random.default_rng(8)
+    # 600 pairs take the head step and leave about a tenth of the rows of each
+    # batch open; 5 pairs skip the head, so every row takes the gather
+    dense, sparse = (rng.choice(num_pairs(n), size, replace=False) for size in (600, 5))
+    argsort, calls = np.argsort, []
+    monkeypatch.setattr(np, "argsort",
+                        lambda a, **kw: calls.append(a.shape) or argsort(a, **kw))
+    got = prefix_distances([dense, sparse], n, [n], perms)[n]
+    assert calls == [(k, n)]  # one table of every row, never a subset of them
+    q = np.rint(1 / got[0]).astype(int)
+    for lo in (0, RELABEL_BATCH):  # the head left rows open in both batches
+        assert (q[lo : lo + RELABEL_BATCH] >= HEAD_POSITIONS).any()
 
 
 @pytest.mark.parametrize("n", [8, 64])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from graphvar.graphs import (
+    MAX_VERTEX_PAIRS,
     AdjacencyGraph,
     DataError,
     InjectiveMap,
@@ -26,7 +27,6 @@ from graphvar.process import (
     _CHUNK_CHARS,
     _EVENT_LINE,
     _SAVE_CHUNK,
-    MAX_VERTEX_PAIRS,
     MODELS,
     EdgeEvent,
     EventLogPath,
