@@ -20,6 +20,7 @@ import numpy as np
 
 from .graphs import (
     AdjacencyGraph,
+    MAX_VERTEX_PAIRS,
     DataError,
     Refused,
     check_vertex_count,
@@ -276,12 +277,13 @@ def _pair_order(pids: np.ndarray, npairs: int) -> np.ndarray:
 
 
 class _EdgeFlipDraw(NamedTuple):
-    """What the edge-flip draw stage makes, in draw order (not time order)."""
+    """What the edge-flip draw stage makes, in draw order; counts are per pair id."""
 
     rate: PiecewiseRate
     init_vec: np.ndarray
-    times: np.ndarray
-    pairs: np.ndarray
+    counts: np.ndarray
+    times: np.ndarray | None
+    pairs: np.ndarray | None
 
 
 def _draw_edge_flip(
@@ -292,12 +294,16 @@ def _draw_edge_flip(
     seed=0,
     boost_edge: tuple[int, int] | None = None,
     boost_factor: float = 1.0,
+    *,
+    times: bool = True,
 ) -> _EdgeFlipDraw:
     """The draw stage of simulate_edge_flip, the only code that consumes its RNG stream.
 
     It draws the initial pair vector, then per rate piece each pair's Poisson
     count and its events' uniform times; events come grouped by piece, then
-    by pair id, unsorted in time.
+    by pair id, unsorted in time.  Over MAX_VERTEX_PAIRS events are refused
+    before the piece that passes the cap makes its events; times=False stops
+    after the last piece's counts and leaves times and pairs None.
     """
     if not (0.0 <= init_density <= 1.0):
         raise ValueError("init_density must lie in [0, 1]")
@@ -314,19 +320,24 @@ def _draw_edge_flip(
         a, b = sorted(boost_edge)
         mult[pair_index(a, b, n)] = boost_factor
 
+    counts = np.zeros(npairs, dtype=np.int64)
     all_times = [np.zeros(0)]
     all_pairs = [np.zeros(0, dtype=np.int64)]
-    for t0, t1, r in rate.pieces(horizon):
-        lam = r * (t1 - t0) * mult
-        counts = rng.poisson(lam)
-        total = int(counts.sum())
-        if total == 0:
+    for k, (t0, t1, r) in enumerate(pieces := rate.pieces(horizon), start=1):
+        piece = rng.poisson(r * (t1 - t0) * mult)
+        counts += piece
+        if counts.sum() > MAX_VERTEX_PAIRS:
+            raise Refused(f"{counts.sum()} events drawn, over the limit of {MAX_VERTEX_PAIRS}")
+        total = int(piece.sum())
+        if total == 0 or (k == len(pieces) and not times):
             continue
-        all_pairs.append(np.repeat(np.arange(npairs), counts))
+        all_pairs.append(np.repeat(np.arange(npairs), piece))
         all_times.append(rng.uniform(t0, t1, total))
-    times = np.concatenate(all_times)
-    times = np.where(times <= 0.0, np.nextafter(0.0, 1.0), times)
-    return _EdgeFlipDraw(rate, init_vec, times, np.concatenate(all_pairs))
+    if not times:
+        return _EdgeFlipDraw(rate, init_vec, counts, None, None)
+    event_times = np.concatenate(all_times)
+    event_times = np.where(event_times <= 0.0, np.nextafter(0.0, 1.0), event_times)
+    return _EdgeFlipDraw(rate, init_vec, counts, event_times, np.concatenate(all_pairs))
 
 
 def _event_log(n: int, horizon: float, init_vec: np.ndarray, times: np.ndarray,
@@ -427,6 +438,8 @@ def simulate_graphon_jump(
     init_vec = state.copy()
 
     n_ticks = int(rng.poisson(global_rate * horizon))
+    if n_ticks * npairs > MAX_VERTEX_PAIRS:
+        raise Refused(f"{n_ticks} ticks on {npairs} pairs may exceed {MAX_VERTEX_PAIRS} events")
     tick_times = np.sort(rng.uniform(0.0, horizon, n_ticks))
     tick_times = np.where(tick_times <= 0.0, np.nextafter(0.0, 1.0), tick_times)
 
@@ -785,8 +798,8 @@ def exchangeability_check(
     only a windowed one can distinguish a relabeled path.  Under a
     relabeling sigma vertex v sits at position sigma^{-1}(v), so an event
     lies in the relabeled window iff both endpoints' positions do.  The
-    count needs no time order, so edge-flip samples read the pair ids of
-    the simulator's draw stage and build no path.  For exchangeable
+    count needs only each pair's event count, so edge-flip samples stop the
+    simulator's draw stage at its Poisson counts and draw no times.  For exchangeable
     generators both samples share one distribution and the p-value is
     approximately uniform; a planted per-edge asymmetry shifts the relabeled
     sample and drives the p-value to zero.
@@ -797,30 +810,31 @@ def exchangeability_check(
         raise ValueError("window out of range")
     args = _generator_args(model, n, params)
 
-    def event_pairs(sample_seed) -> np.ndarray:
-        """Pair ids of one sample's events, in any order."""
+    def pair_counts(sample_seed) -> np.ndarray:
+        """Events per pair id in one sample."""
         if model == "graphon-jump":
-            return simulate_graphon_jump(n, seed=sample_seed, horizon=horizon, **args).pair_ids
-        return _draw_edge_flip(n, horizon=horizon, seed=sample_seed, **args).pairs
+            return jump_counts(simulate_graphon_jump(n, seed=sample_seed, horizon=horizon,
+                                                     **args)).counts
+        return _draw_edge_flip(n, horizon=horizon, seed=sample_seed, times=False, **args).counts
 
     ii, jj = pair_endpoints(n)
 
-    def windowed_count(pairs: np.ndarray, position: np.ndarray) -> int:
+    def windowed_count(counts: np.ndarray, position: np.ndarray) -> int:
         """Events on pairs with both endpoints at 0-based positions below `window`."""
         inside = np.maximum(position[ii], position[jj]) < window
-        return int(np.count_nonzero(inside[pairs]))
+        return int(counts[inside].sum())
 
     base = seed_list(seed)
     identity = np.arange(n)
     plain = np.empty(seed_count)
     for r in range(seed_count):
-        plain[r] = windowed_count(event_pairs(base + [0, r]), identity)
+        plain[r] = windowed_count(pair_counts(base + [0, r]), identity)
 
     relabeled = np.empty(seed_count)
     for r in range(seed_count):
-        pairs = event_pairs(base + [1, r])
+        counts = pair_counts(base + [1, r])
         sigma = np.random.default_rng(base + [2, r]).permutation(n)
-        relabeled[r] = windowed_count(pairs, np.argsort(sigma))
+        relabeled[r] = windowed_count(counts, np.argsort(sigma))
 
     from scipy import stats  # imported here: it costs most of a cold `import graphvar`
 

@@ -108,12 +108,14 @@ def stopping_ladder(path: EventLogPath, p: float) -> StoppingLadder:
             f"at n={n}; crossings are not resolvable"
         )
     npairs = num_pairs(n)
-    cross_at = p * npairs  # disagreement count scale: J = diff / C(n,2)
-    # a segment needs at least `need` events; most need less than twice that
-    need = math.ceil(cross_at)
-    first_chunk = 2 * need + 32
+    # a crossing is a disagreement count (J = diff / C(n,2)) of at least `need`
+    need = math.ceil(p * npairs)
+    # under uniform flips a pair is odd after c flips per pair with chance (1 - e^(-2c))/2,
+    # so a segment ends after about -C(n,2)/2 ln(1 - 2p) events: read 1.1x that, plus 32
+    first_chunk = (int(-0.55 * npairs * math.log1p(-2 * p)) if p < 0.45 else 2 * need) + 32
 
     idx = path.event_index
+    before, slot, batch_end, times = idx.before, idx.slot, idx.batch_end, path.times
     e = path.event_count
     anchor = idx.slot_initial.copy()  # over the pairs the path touches
 
@@ -127,25 +129,24 @@ def stopping_ladder(path: EventLogPath, p: float) -> StoppingLadder:
         lo, chunk, diff, k = pos, first_chunk, 0, None
         while lo < e:
             hi = min(e, lo + chunk)
-            step = np.where(idx.before[lo:hi] == anchor[idx.slot[lo:hi]], 1, -1)
-            running = np.cumsum(step) + diff
-            crossed = idx.batch_end[lo:hi] & (running >= cross_at)
+            running = np.where(before[lo:hi] == anchor[slot[lo:hi]], 1, -1).cumsum()
+            crossed = batch_end[lo:hi] & (running >= need - diff)
             j = int(crossed.argmax())
             if crossed[j]:
-                k, diff = lo + j, int(running[j])
+                k, diff = lo + j, diff + int(running[j])
                 break
-            diff = int(running[-1])
+            diff += int(running[-1])
             lo, chunk = hi, 2 * chunk
         end = e if k is None else k + 1
-        apply_events(path, anchor, pos, end, idx.slot)
+        apply_events(path, anchor, pos, end, slot)
         densities.append(diff / npairs)
         if k is None:
             break
-        taus.append(float(path.times[k]))
+        taus.append(float(times[k]))
         ends.append(end)
         # type-A when the crossing batch alone holds `need` events, i.e. the
         # `need` events up to the crossing share its time
-        type_a.append(bool(end >= need and path.times[end - need] == path.times[k]))
+        type_a.append(bool(end >= need and times[end - need] == times[k]))
         pos = end
 
     return StoppingLadder(p, tuple(taus), tuple(ends), tuple(densities), tuple(type_a), path)

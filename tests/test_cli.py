@@ -207,6 +207,27 @@ def test_simulate_oversized_vertex_count_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--rate", "3"], ["--model", "graphon-jump", "--rate", "3"]])
+def test_simulate_over_the_event_cap_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                                 flags):
+    # C(64, 2) = 2,016 pairs at rate 3 pass a cap lowered to 1,000 events
+    monkeypatch.setattr("graphvar.process.MAX_VERTEX_PAIRS", 1000)
+    out = tmp_path / "big.jsonl"
+    assert main(["simulate", "--vertices", "64", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "1000 events" in err or "limit of 1000" in err
+    assert not out.exists()
+
+
+def test_verify_roundtrip_over_the_event_cap_is_skipped(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("graphvar.process.MAX_VERTEX_PAIRS", 1000)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rate = 3\nvertices = 64\n")
+    assert main(["verify", "--config", str(cfg), "--only", "roundtrip"]) == 0
+    assert "determinism-roundtrip: SKIPPED" in capsys.readouterr().out
+
+
 def test_simulate_planted_model(tmp_path):
     out = simulate_small(tmp_path, "planted.jsonl",
                          ("--model", "edge-flip-planted", "--boost-factor", "25"))

@@ -15,6 +15,7 @@ from graphvar.graphs import (
     AdjacencyGraph,
     DataError,
     InjectiveMap,
+    Refused,
     apply_map,
     num_pairs,
     pair_endpoints,
@@ -25,11 +26,13 @@ from graphvar.graphs import (
 from graphvar import process
 from graphvar.process import (
     _CHUNK_CHARS,
+    _draw_edge_flip,
     _EVENT_LINE,
     _SAVE_CHUNK,
     MODELS,
     EdgeEvent,
     EventLogPath,
+    ExchangeabilityReport,
     PiecewiseRate,
     StepGraphon,
     exchangeability_check,
@@ -505,6 +508,58 @@ def test_exchangeability_check_refuses_oversized_vertex_count(model):
     with pytest.raises(ValueError, match=rf"^n=5794 has 16782321 vertex pairs, "
                                          rf"over the limit of {MAX_VERTEX_PAIRS}$"):
         exchangeability_check(model, {}, 5794, seed_count=20)
+
+
+@pytest.mark.parametrize("rate,boost_edge,boost_factor", [
+    (2.0, None, 1.0),
+    (PiecewiseRate((0.0, 0.4), (3.0, 1.5)), None, 1.0),
+    (2.0, (1, 2), 10.0),
+    (PiecewiseRate((0.0, 0.3, 0.8), (4.0, 0.0, 1.5)), (2, 5), 30.0),
+])
+@pytest.mark.parametrize("seed", [0, [3, 1, 4]])
+def test_count_only_draw_matches_full_draw(rate, boost_edge, boost_factor, seed):
+    full = _draw_edge_flip(12, rate, 0.5, 1.0, seed, boost_edge, boost_factor)
+    counts = _draw_edge_flip(12, rate, 0.5, 1.0, seed, boost_edge, boost_factor, times=False)
+    assert counts.times is None and counts.pairs is None
+    assert np.array_equal(counts.init_vec, full.init_vec)
+    assert np.array_equal(counts.counts, np.bincount(full.pairs, minlength=num_pairs(12)))
+    assert np.array_equal(full.counts, counts.counts)
+
+
+@pytest.mark.parametrize("model,params", [
+    ("edge-flip", {"rate": 3.0}),
+    ("edge-flip", {"rate": PiecewiseRate((0.0, 0.5), (1.0, 4.0))}),
+    ("edge-flip-planted", {"rate": 3.0, "boost_factor": 2.0}),
+])
+def test_edge_flip_draw_over_the_event_cap_is_refused(monkeypatch, model, params):
+    # C(16, 2) = 120 pairs at rate 3 draw about 360 events, over a cap of 100
+    monkeypatch.setattr(process, "MAX_VERTEX_PAIRS", 100)
+    repeat = mock.Mock(wraps=np.repeat)
+    monkeypatch.setattr(process.np, "repeat", repeat)
+    with pytest.raises(Refused, match=r"^\d+ events drawn, over the limit of 100$"):
+        simulate(model, 16, 1.0, 0, params)
+    # refused before the piece that passes the cap makes its event arrays
+    assert sum(int(c.args[1].sum()) for c in repeat.call_args_list) <= 100
+    with pytest.raises(Refused, match="over the limit of 100"):
+        _draw_edge_flip(16, params["rate"], times=False)
+    assert simulate(model, 6, 1.0, 0, params).event_count <= 100
+
+
+def test_graphon_jump_over_the_event_cap_is_refused(monkeypatch):
+    # 120 pairs times the ticks of rate 5 pass a cap of 100 before any tick is drawn
+    monkeypatch.setattr(process, "MAX_VERTEX_PAIRS", 100)
+    uniform = mock.Mock(side_effect=AssertionError("tick times drawn"))
+    real_rng = np.random.default_rng
+
+    def rng(seed):
+        gen = real_rng(seed)
+        return mock.Mock(wraps=gen, random=gen.random, poisson=gen.poisson, uniform=uniform)
+
+    monkeypatch.setattr(process.np.random, "default_rng", rng)
+    with pytest.raises(Refused, match=r"^\d+ ticks on 120 pairs may exceed 100 events$"):
+        simulate("graphon-jump", 16, 1.0, 0, {"global_rate": 5.0})
+    monkeypatch.setattr(process.np.random, "default_rng", real_rng)
+    assert simulate("graphon-jump", 16, 1.0, 0, {"global_rate": 0.0}).event_count == 0
 
 
 def test_exchangeability_check_refuses_unknown_model():
@@ -1120,3 +1175,40 @@ def test_exchangeability_check_matches_rebuilt_paths(model, params, n, window, s
     assert (rep.ks_statistic, rep.p_value) == oracle_exchangeability(
         model, params, n, 20, seed, window
     )
+
+
+def oracle_pair_id_report(model, params, n, seed_count, seed, window):
+    """The report from each sample's full draw, counting its events' pair ids."""
+    args = process._generator_args(model, n, params)
+    ii, jj = pair_endpoints(n)
+
+    def pair_ids(sample_seed):
+        if model == "graphon-jump":
+            return simulate_graphon_jump(n, seed=sample_seed, **args).pair_ids
+        return _draw_edge_flip(n, seed=sample_seed, **args).pairs
+
+    base = seed_list(seed)
+    samples = []
+    for stream in (0, 1):
+        sample = []
+        for r in range(seed_count):
+            position = np.arange(n)
+            if stream:
+                position = np.argsort(np.random.default_rng(base + [2, r]).permutation(n))
+            inside = np.maximum(position[ii], position[jj]) < window
+            sample.append(np.count_nonzero(inside[pair_ids(base + [stream, r])]))
+        samples.append(np.array(sample, dtype=float))
+    ks = stats.ks_2samp(*samples, method="asymp")
+    return ExchangeabilityReport(seed_count, float(ks.statistic), float(ks.pvalue))
+
+
+@pytest.mark.parametrize("model,params,n,seed_count,seed", [
+    ("edge-flip", {"rate": 2.0, "init_density": 0.5}, 64, 50, [0, 109]),
+    ("edge-flip", {"rate": PiecewiseRate((0.0, 0.4), (3.0, 1.0))}, 20, 30, 5),
+    ("edge-flip-planted",
+     {"rate": 2.0, "init_density": 0.5, "boost_factor": 10.0}, 64, 200, [0, 112]),
+    ("graphon-jump", {"grids": [[[0.3, 0.6], [0.6, 0.2]]], "global_rate": 3.0}, 16, 30, 2),
+])
+def test_count_only_samples_match_pair_id_oracle(model, params, n, seed_count, seed):
+    rep = exchangeability_check(model, params, n, seed_count=seed_count, seed=seed, window=8)
+    assert rep == oracle_pair_id_report(model, params, n, seed_count, seed, 8)

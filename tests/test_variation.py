@@ -128,8 +128,9 @@ def test_ladder_matches_naive_replay_tiny(events, p):
 def test_ladder_segment_longer_than_first_chunk():
     # n=5, p=0.3: a crossing needs 3 disagreements.  One flip, then 50 toggles
     # of (1, 2) holding the count at 1 or 2, then two flips: the only crossing
-    # is event 52, past the first scanned chunk (2 * 3 + 32 events), with a
-    # running count of 2 carried across the chunk boundary.
+    # is event 52, past the first scanned chunk (37 events:
+    # int(1.1 * 10/2 * ln(1/0.4)) + 32), with a running count of 2 carried
+    # across the chunk boundary.
     events = [EdgeEvent(0.001, 1, 3, 1)]
     events += [EdgeEvent(0.002 * (k + 1), 1, 2, (k + 1) % 2) for k in range(50)]
     events += [EdgeEvent(0.5, 1, 4, 1), EdgeEvent(0.6, 1, 5, 1), EdgeEvent(0.7, 2, 3, 1)]
@@ -138,6 +139,32 @@ def test_ladder_segment_longer_than_first_chunk():
     lad = stopping_ladder(path, 0.3)
     assert lad.taus == (0.0, 0.6)
     assert lad.densities == (0.3, 0.1)
+
+
+@pytest.mark.parametrize("n,seed", [(32, 40), (48, 41)])
+@pytest.mark.parametrize("p", [0.025, 0.2, 0.44, 0.46])
+def test_ladder_matches_naive_replay_on_both_sides_of_the_chunk_rule(n, seed, p):
+    # p < 0.45 sizes the first chunk to the expected segment, p >= 0.45 to 2 * need
+    assert_matches_naive(simulate_edge_flip(n, 3.0, seed=seed), p)
+
+
+@pytest.mark.parametrize("p", [0.2, 0.46])
+def test_ladder_segment_longer_than_first_chunk_at_n32(p):
+    # n=32 (496 pairs): p=0.2 needs 100 disagreements and scans a first chunk
+    # of int(1.1 * 248 * ln(1/0.6)) + 32 = 171 events; p=0.46 needs 229 and
+    # scans 2 * 229 + 32 = 490.  Flip need - 2 pairs on, toggle one more pair
+    # 600 times (the count stays at need - 1 or need - 2), then flip more
+    # pairs: the first crossing is the second of those, event need + 599,
+    # beyond both first chunks.
+    pairs = [(i, j) for i in range(1, 33) for j in range(i + 1, 33)]
+    need = int(np.ceil(p * 496))
+    t = iter(np.linspace(0.001, 0.9, need + 604))
+    events = [EdgeEvent(next(t), i, j, 1) for i, j in pairs[:need - 2]]
+    events += [EdgeEvent(next(t), 31, 32, (k + 1) % 2) for k in range(600)]
+    events += [EdgeEvent(next(t), i, j, 1) for i, j in pairs[need - 2:need + 4]]
+    path = EventLogPath.from_events(32, 1.0, AdjacencyGraph.empty(32), events)
+    assert_matches_naive(path, p)
+    assert stopping_ladder(path, p).ends[0] == need + 600
 
 
 def rewritten_edge_path():
