@@ -28,18 +28,13 @@ from .density import (
 from .graphs import (
     AdjacencyGraph,
     DataError,
-    InjectiveMap,
     Refused,
-    apply_map,
     density_quantum,
     er_sample,
     num_pairs,
     pair_index,
-    project,
     read_edge_list,
-    restrict,
     sym_diff_count,
-    window_mask,
     write_edge_list,
 )
 from .metrics import (

@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
@@ -57,10 +58,12 @@ def _require_level(k: int, m: int) -> None:
 def _exact_cost(m: int, k: int) -> int:
     """Work of the exact count at level k on m vertices, in its kernel's units: none at
     levels 1-2 (m and the edge count), 64-bit words of packed-row ANDs for level 3's
-    triangles, injective tuples m^(k falling) for the walker above."""
-    if k <= 3:
-        return num_pairs(m) * -(-m // 64) if k == 3 else 0
-    return math.perm(m, k)
+    triangles and for level 4 (every pair's codegree, then at most m - 2 common
+    neighbours per edge for K4), injective tuples m^(k falling) for the walker above."""
+    if k > 4:
+        return math.perm(m, k)
+    words = num_pairs(m) * -(-m // 64)
+    return 0 if k < 3 else words if k == 3 else words * (m - 1)
 
 
 def _exact_counts(host: AdjacencyGraph, k: int, budget: int) -> tuple[np.ndarray, int]:
@@ -69,10 +72,11 @@ def _exact_counts(host: AdjacencyGraph, k: int, budget: int) -> tuple[np.ndarray
     _require_level(k, m)
     if (cost := _exact_cost(m, k)) > budget:
         raise Refused(
-            f"exact count needs {cost} {'word ANDs' if k <= 3 else 'tuples'} "
+            f"exact count needs {cost} {'word ANDs' if k <= 4 else 'tuples'} "
             f"at level {k} on {m} vertices, over the budget of {budget}; use density_mc instead"
         )
-    counts = _closed_form_counts(host, k) if k <= 3 else _exact_level_counts(host, k)
+    counts = (_closed_form_counts(host, k) if k <= 3 else _level4_counts(host) if k == 4
+              else _exact_level_counts(host, k))
     return counts, math.perm(m, k)
 
 
@@ -133,8 +137,75 @@ def _closed_form_counts(host: AdjacencyGraph, k: int) -> np.ndarray:
     return by_edges[[0, 1, 1, 2, 1, 2, 2, 3]]  # edges in each 3-bit pattern
 
 
+@cache
+def _level4_classes() -> tuple[np.ndarray, np.ndarray]:
+    """Class (0-10) and automorphism count of each 4-vertex pattern bitmask.  The
+    sorted degree sequence tells the eleven 4-vertex graphs apart; classes are in
+    its lexicographic order, high degrees first: empty, K2, 2K2, P3, P4, K3, C4,
+    K1,3, paw, diamond, K4.  A class of s labeled patterns has 24 / s automorphisms."""
+    bits = np.arange(64)[:, None] >> np.arange(6) & 1
+    ends = np.array(list(itertools.combinations(range(4), 2)))  # pair_index order
+    deg = np.stack([bits[:, (ends == v).any(axis=1)].sum(axis=1) for v in range(4)])
+    keys = np.sort(deg, axis=0)[::-1].T @ np.array([64, 16, 4, 1])
+    cls = np.unique(keys, return_inverse=True)[1].reshape(64)
+    aut = 24 // np.bincount(cls)[cls]
+    cls.flags.writeable = aut.flags.writeable = False  # one copy serves every call
+    return cls, aut
+
+
+def _level4_counts(host: AdjacencyGraph) -> np.ndarray:
+    """Exact counts at level 4 (Hocevar & Demsar, Bioinformatics 30(4), 2014).
+
+    Row v packs all of v's neighbours into uint64 words.  Degrees d, the
+    codegree c of every pair (the popcount of its two rows' AND), the triangles
+    t = c of each edge, and K4 give the non-induced copies of each 4-vertex
+    graph; K4 sums, over each triangle at its lowest edge, the common neighbours
+    of its three rows, so every K4 counts four times.  A labeled pattern gets
+    its class's copies times its automorphisms, and inclusion-exclusion over
+    its non-edges (the 64-slot superset Moebius transform) makes that count
+    induced.  Pairs are ANDed in blocks whose gathers stay within _GATHER_BYTES.
+    """
+    m, w = host.n, -(-host.n // 64)
+    on = host.to_pair_vector()
+    ii, jj = pair_endpoints(m)
+    adj = np.zeros((m, 64 * w), dtype=bool)
+    adj[ii[on], jj[on]] = adj[jj[on], ii[on]] = True
+    rows = np.packbits(adj, axis=1, bitorder="little").view(np.uint64)
+    codeg = np.empty(ii.size, dtype=np.int64)
+    step, k4 = max(1, _GATHER_BYTES // (8 * w * m)), 0
+    for p0 in range(0, ii.size, step):
+        x = rows[ii[p0 : p0 + step]] & rows[jj[p0 : p0 + step]]
+        edge = on[p0 : p0 + step]
+        common = x[edge]
+        bits = np.unpackbits(common.view(np.uint8), axis=1, bitorder="little").view(bool)
+        k, apex = np.divmod(np.flatnonzero(bits), 64 * w)  # apex closes a triangle on edge k
+        top = apex > jj[p0 : p0 + step][edge][k]  # ... and k is its lowest edge
+        y = common[k[top]]
+        y &= rows[apex[top]]
+        k4 += int(_popcount(y).sum())
+        codeg[p0 : p0 + step] = _popcount(x).sum(axis=1)
+    deg, e, t = adj.sum(axis=1, dtype=np.int64), int(on.sum()), codeg[on]
+    du, dv = deg[ii[on]], deg[jj[on]]
+    d2, tri = int((deg * (deg - 1) // 2).sum()), int(t.sum()) // 3
+    copies = np.array([  # non-induced copies of each class, in _level4_classes' order
+        math.comb(m, 4), e * math.comb(m - 2, 2), math.comb(e, 2) - d2,  # empty, K2, 2K2
+        d2 * (m - 3), int(((du - 1) * (dv - 1)).sum()) - 3 * tri,  # P3, P4 at its middle edge
+        tri * (m - 3), int((codeg * (codeg - 1) // 2).sum()) // 2,  # K3, C4 at its diagonals
+        int((deg * (deg - 1) * (deg - 2) // 6).sum()),  # K1,3
+        int((t * (du + dv - 4)).sum()) // 2,  # paw: sum over v of t_v (d_v - 2)
+        int((t * (t - 1) // 2).sum()), k4 // 4,  # diamond at its middle edge, K4
+    ], dtype=np.int64)
+    cls, aut = _level4_classes()
+    counts = copies[cls] * aut
+    for b in range(6):  # subtract the patterns with pair b added, for each pair b in turn
+        half = counts.reshape(-1, 2, 1 << b)
+        half[:, 0] -= half[:, 1]
+    return counts
+
+
 def _exact_level_counts(host: AdjacencyGraph, k: int) -> np.ndarray:
-    """Tuple-walker counts per pattern bitmask at levels 4-6 (any level >= 2).
+    """Tuple-walker counts per pattern bitmask at levels 5-6 (any level >= 2), and
+    the test oracle of the level-4 kernel.
 
     Exhaustive: the outer loop walks ordered (k-2)-prefixes and the two tail
     coordinates are vectorized as an m x m grid.

@@ -302,7 +302,8 @@ def _draw_edge_flip(
     It draws the initial pair vector, then per rate piece each pair's Poisson
     count and its events' uniform times; events come grouped by piece, then
     by pair id, unsorted in time.  Over MAX_VERTEX_PAIRS events are refused
-    before the piece that passes the cap makes its events; times=False stops
+    before the piece that passes the cap makes its events, and a mean far over
+    it before any count is drawn (_check_mean_events); times=False stops
     after the last piece's counts and leaves times and pairs None.
     """
     if not (0.0 <= init_density <= 1.0):
@@ -320,10 +321,13 @@ def _draw_edge_flip(
         a, b = sorted(boost_edge)
         mult[pair_index(a, b, n)] = boost_factor
 
+    pieces = rate.pieces(horizon)
+    mean = sum(r * (t1 - t0) for t0, t1, r in pieces) * float(mult.sum())
+    _check_mean_events(mean, math.sqrt(mean))
     counts = np.zeros(npairs, dtype=np.int64)
     all_times = [np.zeros(0)]
     all_pairs = [np.zeros(0, dtype=np.int64)]
-    for k, (t0, t1, r) in enumerate(pieces := rate.pieces(horizon), start=1):
+    for k, (t0, t1, r) in enumerate(pieces, start=1):
         piece = rng.poisson(r * (t1 - t0) * mult)
         counts += piece
         if counts.sum() > MAX_VERTEX_PAIRS:
@@ -338,6 +342,15 @@ def _draw_edge_flip(
     event_times = np.concatenate(all_times)
     event_times = np.where(event_times <= 0.0, np.nextafter(0.0, 1.0), event_times)
     return _EdgeFlipDraw(rate, init_vec, counts, event_times, np.concatenate(all_pairs))
+
+
+def _check_mean_events(mean: float, sd: float) -> None:
+    """Refuse, before it is drawn, a Poisson event count whose mean lies over 10 SD
+    above MAX_VERTEX_PAIRS: it falls under the cap with chance below e^-50, so the
+    cap on the drawn count still decides every other path, with its RNG stream."""
+    if not mean - 10.0 * sd <= MAX_VERTEX_PAIRS:  # an infinite or nan mean too
+        raise Refused(f"the rate gives a mean of {mean:.4g} events, over the limit of "
+                      f"{MAX_VERTEX_PAIRS} by more than 10 SD")
 
 
 def _event_log(n: int, horizon: float, init_vec: np.ndarray, times: np.ndarray,
@@ -437,6 +450,7 @@ def simulate_graphon_jump(
     state = rng.random(npairs) < graphons[0].edge_probabilities(u, ii, jj)
     init_vec = state.copy()
 
+    _check_mean_events(global_rate * horizon * npairs, math.sqrt(global_rate * horizon) * npairs)
     n_ticks = int(rng.poisson(global_rate * horizon))
     if n_ticks * npairs > MAX_VERTEX_PAIRS:
         raise Refused(f"{n_ticks} ticks on {npairs} pairs may exceed {MAX_VERTEX_PAIRS} events")
@@ -698,10 +712,12 @@ def _events(file, fh, n: int, horizon: float):
 
     A chunk whose every line the regular expression matches (blank lines
     included) is parsed by column in _event_columns.  A chunk with a line off
-    that layout or an event out of range goes to _event_records instead.
+    that layout or an event out of range goes to _event_records instead.  The
+    chunk that passes MAX_VERTEX_PAIRS events is refused at the line of the
+    first event over it, before the columns are joined.
     """
     cols = [[np.zeros(0, dtype)] for dtype in _EVENT_DTYPES]
-    lineno = 3
+    lineno, count = 3, 0
     while chunk := fh.readlines(_CHUNK_CHARS):
         text = "".join(chunk)
         bulk = len(_EVENT_LINE.findall(text)) == len(chunk)
@@ -710,6 +726,10 @@ def _events(file, fh, n: int, horizon: float):
             bulk = np.all((ei < ej) & (ej <= n) & (times > 0.0) & (times <= horizon))
         events = ((times, ei, ej, values) if bulk
                   else _event_records(file, chunk, lineno, n, horizon))
+        if (count := count + events[0].size) > MAX_VERTEX_PAIRS:  # blank lines hold none
+            ev_lines = [k for k, line in enumerate(chunk, start=lineno) if line.strip()]
+            raise DataError(f"{file}: line {ev_lines[MAX_VERTEX_PAIRS - count]}: more than "
+                            f"{MAX_VERTEX_PAIRS} events, the limit of a path")
         for col, arr in zip(cols, events):
             col.append(arr)
         lineno += len(chunk)

@@ -127,38 +127,15 @@ class Measured:
 
 
 def _check_density_normalization(cfg: RunConfig, adversarial: bool) -> Measured:
-    statement = (
-        "pattern densities at each level sum to exactly 1 "
-        "(Monte Carlo levels within 3 combined SE)"
-    )
-    worst_exact = 0
-    worst_mc = 0.0
-    budget_mc = math.inf
+    statement = "pattern densities at each level sum to exactly 1"
+    worst = 0
     for r in range(10):
         g = er_sample(64, 0.3, [cfg.seed, 101, r])
-        vec = limit_vector(
-            g, 4, mode="auto", n_samples=cfg.k_inj,
-            budget=cfg.exact_budget, seed=[cfg.seed, 1011, r],
-        )
-        for lv in vec.levels:
-            if lv.mode == "exact":
-                worst_exact = max(worst_exact, abs(sum(lv.counts) - lv.denominator))
-            else:
-                se = np.asarray(lv.stderr)
-                worst_mc = max(worst_mc, abs(sum(lv.t) - 1.0))
-                budget_mc = min(budget_mc, 3.0 * float(np.sqrt(np.sum(se**2))))
-    ok = worst_exact == 0 and worst_mc <= budget_mc
+        vec = limit_vector(g, 4, mode="exact", budget=cfg.exact_budget)
+        worst = max(worst, *(abs(sum(lv.counts) - lv.denominator) for lv in vec.levels))
     return Measured(
-        statement, ok, lhs=float(worst_exact), rhs=0.0,
-        needed_slack=worst_mc > 1e-12,  # MC sums are 1 up to float rounding
-        stderr_budget=budget_mc,
-        details={
-            "replicates": 10,
-            "exact_levels": [1, 2, 3],
-            "mc_level": 4,
-            "worst_exact_count_gap": worst_exact,
-            "worst_mc_sum_gap": worst_mc,
-        },
+        statement, worst == 0, lhs=float(worst), rhs=0.0,
+        details={"replicates": 10, "exact_levels": [1, 2, 3, 4], "worst_exact_count_gap": worst},
     )
 
 

@@ -220,6 +220,27 @@ def test_simulate_over_the_event_cap_exits_2_and_writes_nothing(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [("--vertices", "4", "--rate", "1e19"),
+                                   ("--model", "graphon-jump", "--rate", "1e300")])
+def test_simulate_far_over_the_event_cap_names_the_limit(tmp_path, capsys, flags):
+    # means too large for numpy's Poisson sampler are refused before it sees them
+    out = tmp_path / "big.jsonl"
+    assert main(["simulate", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: the rate gives a mean of ") and err.count("\n") == 1
+    assert err.endswith(f"over the limit of {MAX_VERTEX_PAIRS} by more than 10 SD\n")
+    assert not out.exists()
+
+
+def test_analyze_over_the_event_cap_exits_3_at_its_line(tmp_path, capsys, monkeypatch):
+    out = simulate_small(tmp_path)
+    monkeypatch.setattr("graphvar.process.MAX_VERTEX_PAIRS", 10)
+    capsys.readouterr()
+    assert main(["analyze", "--path", str(out)]) == 3
+    assert capsys.readouterr().err == (f"error: {out}: line 13: more than 10 events, "
+                                       "the limit of a path\n")
+
+
 def test_verify_roundtrip_over_the_event_cap_is_skipped(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("graphvar.process.MAX_VERTEX_PAIRS", 1000)
     cfg = tmp_path / "run.cfg"
@@ -891,6 +912,51 @@ def test_analyze_fuzz_exit_codes(tmp_path_factory, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["analyze", "--path", str(f), "--skip-variation", "--skip-tv"])
     assert code in (0, 1, 2, 3)
+
+
+def mutate(data: bytes, rng) -> bytes:
+    """data with one to three random byte edits: a byte replaced, deleted or inserted."""
+    alphabet = b'0123456789{}[],:" -.eE\n' + bytes(rng.integers(0, 256, 4).tolist())
+    for _ in range(int(rng.integers(1, 4))):
+        k, byte = int(rng.integers(0, len(data) + 1)), alphabet[int(rng.integers(len(alphabet)))]
+        edit = int(rng.integers(3))
+        data = data[:k] + bytes([byte]) * (edit > 0) + data[k + (edit < 2):]
+    return data
+
+
+# config values by the kind of their key, in range, out of range, far too large or
+# malformed; the accepted ones keep the roundtrip's 64-vertex simulations small
+FUZZ_VALUES = {
+    "number": ["0", "1", "2", "0.5", "-1", "1e19", "1e300", "1e400", "nan", "1" * 30],
+    "list": ["[0.2, 0.1]", "[2, 3]", "[1e-9]", "[0.5, 1e400]", "[]", "null"],
+    "text": ['"edge-flip"', '"edge-flip-planted"', '"graphon-jump"', '"two_pow_neg_n"', '"x"'],
+    "junk": ["[", "= 3", "true", "", '"1"'],
+}
+
+
+def fuzz_config_line(rng) -> str:
+    keys = sorted(CONFIG_KINDS) + ["nope"]
+    key = keys[int(rng.integers(len(keys)))]
+    kind = CONFIG_KINDS.get(key, "str")
+    kind = ("junk" if rng.random() < 0.2 else "text" if kind == "str"
+            else "list" if kind.startswith("[") else "number")
+    return f"{key} = {FUZZ_VALUES[kind][int(rng.integers(len(FUZZ_VALUES[kind])))]}"
+
+
+def test_analyze_and_verify_fuzz_exit_codes(tmp_path, capsys):
+    # bounded: 60 byte mutations of a 16-vertex path through the full analyze, and
+    # 60 random config files through the roundtrip check; every run ends in an exit code
+    rng = np.random.default_rng(85)
+    clean = simulate_small(tmp_path).read_bytes()
+    f = tmp_path / "mutated.jsonl"
+    for _ in range(60):
+        f.write_bytes(mutate(clean, rng))
+        assert main(["analyze", "--path", str(f), "--k-perm", "20"]) in (0, 1, 2, 3)
+    cfg = tmp_path / "fuzz.cfg"
+    for _ in range(60):
+        cfg.write_text("".join(fuzz_config_line(rng) + "\n" for _ in range(rng.integers(1, 4))))
+        assert main(["verify", "--config", str(cfg), "--only", "roundtrip"]) in (0, 1, 2, 3)
+    capsys.readouterr()
 
 
 CONFIG_KEYS = st.sampled_from(sorted(RunConfig().to_dict())) | st.text(max_size=6)

@@ -16,6 +16,7 @@ from graphvar.density import (
     _degrees_and_triangles,
     _exact_cost,
     _exact_level_counts,
+    _level4_counts,
     _mc_codes,
     _popcount,
     bound_constant,
@@ -135,6 +136,28 @@ def test_closed_form_counts_over_many_gather_chunks(monkeypatch, gather_bytes):
         assert_closed_form_matches_walker(host)
 
 
+@pytest.mark.parametrize("m", [4, 5, 63, 64, 65])
+def test_level4_counts_match_walker(m):
+    # the tuple walker is the level-4 oracle; m = 64 fills one word column
+    # exactly, 63 leaves a pad bit, 65 spills into a second column
+    hosts = [AdjacencyGraph.empty(m), AdjacencyGraph.complete(m)]
+    hosts += [er_sample(m, p, [m, k, 4]) for k, p in enumerate((0.1, 0.5, 0.9))]
+    for host in hosts:
+        got, want = _level4_counts(host), _exact_level_counts(host, 4)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (host, got, want)
+    assert _level4_counts(AdjacencyGraph.complete(m))[-1] == math.perm(m, 4)
+
+
+@pytest.mark.parametrize("gather_bytes", [1, 20_000])
+def test_level4_counts_over_many_gather_blocks(monkeypatch, gather_bytes):
+    # a block holds _GATHER_BYTES // (8 * words * m) pairs, at least one: at m = 70
+    # (two word columns) these sizes take 1 and 17 of the 2,415 pairs at a time
+    monkeypatch.setattr(density, "_GATHER_BYTES", gather_bytes)
+    host = er_sample(70, 0.6, 84)
+    assert np.array_equal(_level4_counts(host), _exact_level_counts(host, 4))
+
+
 def brute_degrees_and_triangles(host):
     """Degrees from the dense matrix, triangles from every vertex triple."""
     adj = host.to_matrix().tolist()
@@ -176,17 +199,23 @@ def test_popcount_matches_int_bit_count():
 
 def test_exact_cost_units():
     # levels 1-2 are free; level 3 is packed-row word ANDs, C(m, 2) * ceil(m / 64);
-    # levels 4-6 are tuples
+    # level 4 is word ANDs too, at most C(m, 2) * ceil(m / 64) * (m - 1), which the
+    # default budget of 10^7 covers up to m = 188; levels 5-6 are tuples
     assert _exact_cost(256, 1) == _exact_cost(256, 2) == 0
     assert _exact_cost(256, 3) == 32_640 * 4 == 130_560
     assert _exact_cost(65, 3) == num_pairs(65) * 2
-    assert _exact_cost(256, 4) == math.perm(256, 4)
+    assert _exact_cost(256, 4) == 130_560 * 255
+    assert _exact_cost(64, 4) == 2_016 * 63 == 127_008
+    assert _exact_cost(188, 4) <= 10**7 < _exact_cost(189, 4)
+    assert _exact_cost(256, 5) == math.perm(256, 5)
     vec = limit_vector(er_sample(256, 0.5, 81), n_max=3)  # default budget 10^7
     assert [lv.mode for lv in vec.levels] == ["exact"] * 3
     with pytest.raises(ValueError, match="130560 word ANDs at level 3 .* use density_mc"):
         limit_vector(er_sample(256, 0.5, 81), n_max=3, mode="exact", budget=130_559)
-    with pytest.raises(ValueError, match="tuples at level 4"):
-        density_exact(AdjacencyGraph.empty(4), er_sample(64, 0.5, 82), budget=10**6)
+    with pytest.raises(ValueError, match="127008 word ANDs at level 4 on 64 vertices"):
+        density_exact(AdjacencyGraph.empty(4), er_sample(64, 0.5, 82), budget=127_007)
+    with pytest.raises(ValueError, match="tuples at level 5"):
+        density_exact(AdjacencyGraph.empty(5), er_sample(64, 0.5, 82), budget=10**6)
 
 
 def test_density_mc_within_error_of_exact():
@@ -292,10 +321,13 @@ def test_limit_vector_levels_sum_to_one():
 
 def test_limit_vector_auto_switches_to_mc():
     host = er_sample(64, 0.4, 59)
-    vec = limit_vector(host, n_max=4, mode="auto", n_samples=2_000)
-    assert [lv.mode for lv in vec.levels] == ["exact", "exact", "exact", "mc"]
+    vec = limit_vector(host, n_max=5, mode="auto", n_samples=2_000)
+    assert [lv.mode for lv in vec.levels] == ["exact"] * 4 + ["mc"]
     with pytest.raises(ValueError, match="density_mc"):
-        limit_vector(host, n_max=4, mode="exact", budget=10**6)
+        limit_vector(host, n_max=5, mode="exact", budget=10**6)
+    # level 4 samples on a host over its exact range at the default budget
+    vec = limit_vector(er_sample(189, 0.4, 59), n_max=4, mode="auto", n_samples=2_000)
+    assert [lv.mode for lv in vec.levels] == ["exact"] * 3 + ["mc"]
     with pytest.raises(ValueError, match="n_max"):
         limit_vector(host, n_max=7)
     with pytest.raises(ValueError, match="mode"):

@@ -9,22 +9,18 @@ from graphvar.graphs import (
     MAX_VERTEX_PAIRS,
     AdjacencyGraph,
     DataError,
-    InjectiveMap,
-    apply_map,
     density_quantum,
     er_sample,
     num_pairs,
     pair_endpoints,
     pair_index,
     pair_indices,
-    project,
     read_edge_list,
-    restrict,
     seed_list,
     sym_diff_count,
-    window_mask,
     write_edge_list,
 )
+from oracles import InjectiveMap, apply_map, project, restrict, window_mask
 
 
 def test_pair_index_row_major_order():

@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 
 from graphvar.graphs import (
     AdjacencyGraph,
-    InjectiveMap,
-    apply_map,
     er_sample,
     num_pairs,
-    project,
-    restrict,
 )
 from graphvar.metrics import (
     EXACT_PERM_LIMIT,
@@ -29,6 +25,7 @@ from graphvar.metrics import (
     relabelings,
     slln_statistic,
 )
+from oracles import InjectiveMap, apply_map, project, restrict
 
 
 def perm_average(h, f, g, m, k=1000, seed=0):

@@ -14,13 +14,10 @@ from graphvar.graphs import (
     MAX_VERTEX_PAIRS,
     AdjacencyGraph,
     DataError,
-    InjectiveMap,
     Refused,
-    apply_map,
     num_pairs,
     pair_endpoints,
     pair_index,
-    restrict,
     seed_list,
 )
 from graphvar import process
@@ -48,6 +45,7 @@ from graphvar.process import (
     _init_record,
     _pair_order,
 )
+from oracles import InjectiveMap, apply_map, restrict
 
 
 def replay(path, t):
@@ -527,12 +525,13 @@ def test_count_only_draw_matches_full_draw(rate, boost_edge, boost_factor, seed)
 
 
 @pytest.mark.parametrize("model,params", [
-    ("edge-flip", {"rate": 3.0}),
-    ("edge-flip", {"rate": PiecewiseRate((0.0, 0.5), (1.0, 4.0))}),
-    ("edge-flip-planted", {"rate": 3.0, "boost_factor": 2.0}),
+    ("edge-flip", {"rate": 1.0}),
+    ("edge-flip", {"rate": PiecewiseRate((0.0, 0.5), (0.5, 1.5))}),
+    ("edge-flip-planted", {"rate": 1.0, "boost_factor": 2.0}),
 ])
 def test_edge_flip_draw_over_the_event_cap_is_refused(monkeypatch, model, params):
-    # C(16, 2) = 120 pairs at rate 3 draw about 360 events, over a cap of 100
+    # C(16, 2) = 120 pairs at mean rate 1 draw about 120 events, over a cap of 100
+    # but within 10 SD of it, so the counts are drawn and their total refused
     monkeypatch.setattr(process, "MAX_VERTEX_PAIRS", 100)
     repeat = mock.Mock(wraps=np.repeat)
     monkeypatch.setattr(process.np, "repeat", repeat)
@@ -543,6 +542,83 @@ def test_edge_flip_draw_over_the_event_cap_is_refused(monkeypatch, model, params
     with pytest.raises(Refused, match="over the limit of 100"):
         _draw_edge_flip(16, params["rate"], times=False)
     assert simulate(model, 6, 1.0, 0, params).event_count <= 100
+
+
+def rng_without_poisson(monkeypatch):
+    """Make every default_rng generator fail the test if it draws a Poisson count."""
+    real_rng = np.random.default_rng
+
+    def rng(seed):
+        gen = real_rng(seed)
+        return mock.Mock(wraps=gen, random=gen.random, uniform=gen.uniform,
+                         poisson=mock.Mock(side_effect=AssertionError("counts drawn")))
+
+    monkeypatch.setattr(process.np.random, "default_rng", rng)
+
+
+@pytest.mark.parametrize("model,params", [
+    ("edge-flip", {"rate": 2.5}),
+    ("edge-flip", {"rate": PiecewiseRate((0.0, 0.5), (1.0, 4.0))}),
+    ("edge-flip-planted", {"rate": 0.5, "boost_factor": 1000.0}),
+    ("graphon-jump", {"global_rate": 1e4}),
+])
+def test_mean_far_over_the_event_cap_is_refused_before_the_draw(monkeypatch, model, params):
+    # C(16, 2) = 120 pairs: means of 300 and 559.5 events lie over 10 SD above a cap
+    # of 100, and so do 10^4 ticks on 120 pairs
+    monkeypatch.setattr(process, "MAX_VERTEX_PAIRS", 100)
+    rng_without_poisson(monkeypatch)
+    with pytest.raises(Refused, match=r"^the rate gives a mean of \S+ events, over the limit "
+                                      r"of 100 by more than 10 SD$"):
+        simulate(model, 16, 1.0, 0, params)
+
+
+@pytest.mark.parametrize("rate,refused_before_the_draw", [(2.18, False), (2.19, True)])
+def test_event_cap_margin_is_ten_sd(monkeypatch, rate, refused_before_the_draw):
+    # mean - 10 sqrt(mean) = 100 at a mean of 261.8: 120 pairs at rate 2.18 (a mean of
+    # 261.6) are drawn and their total refused, at rate 2.19 (262.8) none are drawn
+    monkeypatch.setattr(process, "MAX_VERTEX_PAIRS", 100)
+    if refused_before_the_draw:
+        rng_without_poisson(monkeypatch)
+    with pytest.raises(Refused, match="mean" if refused_before_the_draw else "events drawn"):
+        simulate("edge-flip", 16, 1.0, 0, {"rate": rate})
+
+
+@pytest.mark.parametrize("model,params", [
+    ("edge-flip", {"rate": 1e19}),
+    ("edge-flip", {"rate": 1e300}),
+    ("edge-flip-planted", {"rate": 1.0, "boost_factor": 1e300}),
+    ("graphon-jump", {"global_rate": 1e300}),
+])
+def test_rate_beyond_numpy_poisson_is_refused_at_the_cap(model, params):
+    # numpy's Poisson sampler raises "lam value too large" on these means
+    with pytest.raises(Refused, match=f"over the limit of {MAX_VERTEX_PAIRS} by more than 10 SD$"):
+        simulate(model, 4, 1.0, 0, params)
+
+
+@pytest.mark.parametrize("chunk_chars", [_CHUNK_CHARS, 200])
+@pytest.mark.parametrize("layout", ["canonical", "blank-lines", "reordered"])
+def test_load_path_over_the_event_cap_is_refused_at_its_line(tmp_path, monkeypatch,
+                                                             chunk_chars, layout):
+    # with the cap lowered to 20 events, event 21 is refused at its own line, whether
+    # its chunk is parsed by column or per record, and in a later chunk too
+    path = simulate_edge_flip(8, 2.0, seed=6)
+    f = tmp_path / "p.jsonl"
+    save_path(path, f)
+    lines = f.read_text().splitlines(keepends=True)
+    events = lines[2:]
+    if layout == "blank-lines":  # event k on line 2k + 1
+        events = [x for line in events for x in (line, "\n")]
+    elif layout == "reordered":
+        events = [json.dumps(dict(reversed(json.loads(line).items()))) + "\n" for line in events]
+    f.write_text("".join(lines[:2] + events))
+    monkeypatch.setattr(process, "MAX_VERTEX_PAIRS", 20)
+    monkeypatch.setattr(process, "_CHUNK_CHARS", chunk_chars)
+    line = 43 if layout == "blank-lines" else 23
+    with pytest.raises(DataError) as exc:
+        load_path(f)
+    assert str(exc.value) == f"{f}: line {line}: more than 20 events, the limit of a path"
+    monkeypatch.setattr(process, "MAX_VERTEX_PAIRS", path.event_count)
+    assert path.event_count > 21 and load_path(f) == path
 
 
 def test_graphon_jump_over_the_event_cap_is_refused(monkeypatch):
