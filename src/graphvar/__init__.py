@@ -14,7 +14,6 @@ from .density import (
     WeightFunction,
     bound_constant,
     density_exact,
-    density_mc,
     finite_dim_variation,
     limit_metric,
     limit_vector,
@@ -38,11 +37,8 @@ from .graphs import (
     write_edge_list,
 )
 from .metrics import (
-    edit_density,
     partial_zeta,
     perm_prefix_power,
-    prefix_agreement,
-    prefix_metric,
     prefix_power_series,
     slln_statistic,
 )

@@ -59,7 +59,7 @@ def _exact_cost(m: int, k: int) -> int:
     """Work of the exact count at level k on m vertices, in its kernel's units: none at
     levels 1-2 (m and the edge count), 64-bit words of packed-row ANDs for level 3's
     triangles and for level 4 (every pair's codegree, then at most m - 2 common
-    neighbours per edge for K4), injective tuples m^(k falling) for the walker above."""
+    neighbours per edge for K4), injective tuples m^(k falling) for the walker below."""
     if k > 4:
         return math.perm(m, k)
     words = num_pairs(m) * -(-m // 64)
@@ -73,7 +73,8 @@ def _exact_counts(host: AdjacencyGraph, k: int, budget: int) -> tuple[np.ndarray
     if (cost := _exact_cost(m, k)) > budget:
         raise Refused(
             f"exact count needs {cost} {'word ANDs' if k <= 4 else 'tuples'} "
-            f"at level {k} on {m} vertices, over the budget of {budget}; use density_mc instead"
+            f"at level {k} on {m} vertices, over the budget of {budget}; "
+            'use --mode mc (mode="mc") instead'
         )
     counts = (_closed_form_counts(host, k) if k <= 3 else _level4_counts(host) if k == 4
               else _exact_level_counts(host, k))
@@ -286,19 +287,6 @@ def density_exact(
     """Exact pattern density as a rational number."""
     counts, denom = _exact_counts(host, pattern.n, budget)
     return Fraction(int(counts[pattern.bits]), denom)
-
-
-def density_mc(
-    pattern: AdjacencyGraph,
-    host: AdjacencyGraph,
-    n_samples: int = 100_000,
-    seed=0,
-) -> tuple[float, float]:
-    """Monte Carlo pattern density: (estimate, binomial standard error)."""
-    codes = _mc_codes(host.to_matrix(), pattern.n, n_samples, seed)
-    hits = int(np.count_nonzero(codes == pattern.bits))
-    est = hits / n_samples
-    return est, math.sqrt(est * (1.0 - est) / n_samples)
 
 
 # ---------------------------------------------------------------------------

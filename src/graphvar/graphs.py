@@ -135,28 +135,10 @@ class AdjacencyGraph:
         return cls(n, _pack(vec))
 
     @classmethod
-    def from_matrix(cls, mat: np.ndarray) -> "AdjacencyGraph":
-        mat = np.asarray(mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("adjacency matrix must be square")
-        b = mat.astype(bool)
-        if np.any(np.diag(b)):
-            raise ValueError("adjacency matrix must have zero diagonal")
-        if not np.array_equal(b, b.T):
-            raise ValueError("adjacency matrix must be symmetric")
-        return cls(b.shape[0], _pack(b[pair_endpoints(b.shape[0])]))
-
-    @classmethod
     def from_pair_vector(cls, n: int, vec: np.ndarray) -> "AdjacencyGraph":
         if vec.shape != (num_pairs(n),):
             raise ValueError("pair vector has wrong length")
         return cls(n, _pack(vec))
-
-    def has_edge(self, i: int, j: int) -> bool:
-        if i == j and 1 <= i <= self.n:
-            return False
-        a, b = (i, j) if i < j else (j, i)
-        return bool((self.bits >> pair_index(a, b, self.n)) & 1)
 
     @property
     def edge_count(self) -> int:

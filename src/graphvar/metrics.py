@@ -1,5 +1,5 @@
-"""Graph distances: edit density, the prefix (first-disagreement) metric,
-the relabeling kernel, and the pair-density statistic with convergence profiles."""
+"""Graph distances: the relabeling kernel of the prefix (first-disagreement)
+metric, its series constants, and the pair-density statistic."""
 
 from __future__ import annotations
 
@@ -15,41 +15,11 @@ from .graphs import (
     Refused,
     num_pairs,
     pair_endpoints,
-    sym_diff_count,
 )
 
 EXACT_PERM_LIMIT = 5040  # enumerate all permutations up to 7! = 5040
 RELABEL_BATCH = 512  # relabelings gathered at once
 HEAD_POSITIONS = 16  # relabeled positions whose pairs the head block reads
-
-
-def edit_density(f: AdjacencyGraph, g: AdjacencyGraph) -> float:
-    """Fraction of ordered vertex pairs on which f and g disagree."""
-    if f.n != g.n:
-        raise ValueError(f"vertex counts differ: {f.n} vs {g.n}")
-    if f.n < 2:
-        raise ValueError("edit density needs at least 2 vertices")
-    return 2.0 * sym_diff_count(f, g) / (f.n * (f.n - 1))
-
-
-def prefix_agreement(f: AdjacencyGraph, g: AdjacencyGraph) -> int:
-    """Largest n with f|_n = g|_n; equals the full vertex count for equal graphs."""
-    if f.n != g.n:
-        raise ValueError(f"vertex counts differ: {f.n} vs {g.n}")
-    diff = f.bits ^ g.bits
-    if diff == 0:
-        return f.n
-    _, jj = pair_endpoints(f.n)
-    vec = AdjacencyGraph(f.n, diff).to_pair_vector()
-    # first disagreeing pair blocks every window containing its larger endpoint
-    return int(jj[vec].min())
-
-
-def prefix_metric(f: AdjacencyGraph, g: AdjacencyGraph) -> float:
-    """1 / prefix_agreement, with 0 for graphs equal on the whole truncation."""
-    if f.bits == g.bits and f.n == g.n:
-        return 0.0
-    return 1.0 / prefix_agreement(f, g)
 
 
 def relabelings(n: int, k: int, seed) -> tuple[np.ndarray, bool]:
@@ -158,7 +128,7 @@ def perm_prefix_power(
     k: int = 10_000,
     seed=0,
 ) -> tuple[float, float]:
-    """Relabeling average of prefix_metric(f^sigma, g^sigma) ** alpha, with its
+    """Relabeling average of the prefix metric d(f^sigma, g^sigma) ** alpha, with its
     standard error.  Exhaustive for small vertex counts, otherwise Monte Carlo
     with k relabelings."""
     if f.n != g.n:

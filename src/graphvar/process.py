@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -170,15 +170,6 @@ class EventLogPath:
         for arr in arrays:
             arr.setflags(write=False)
         return EventIndex(*arrays)
-
-    def events(self) -> Iterator[EdgeEvent]:
-        for k in range(self.event_count):
-            yield EdgeEvent(
-                float(self.times[k]),
-                int(self.edge_i[k]),
-                int(self.edge_j[k]),
-                int(self.values[k]),
-            )
 
     @classmethod
     def from_events(

@@ -1,15 +1,104 @@
-"""Reference graph maps that only the tests call: injective vertex maps and their
-pullbacks, restriction to the first n vertices, and projection onto a window."""
+"""Slow reference implementations that only the tests call.
+
+Graph maps: injective vertex maps and their pullbacks, restriction to the
+first n vertices, and projection onto a window.  Single-graph and single-path
+queries: a graph from its adjacency matrix, one edge lookup, and a path's
+events one at a time.  Single-pair metrics: edit density and the
+first-disagreement (prefix) metric, against which the relabeling kernel
+metrics.prefix_distances is checked.  Pattern densities: one pattern's Monte
+Carlo estimate from the sampler that limit_vector uses.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from graphvar.graphs import AdjacencyGraph, _pack, num_pairs, pair_endpoints
+from graphvar.density import _mc_codes
+from graphvar.graphs import (
+    AdjacencyGraph,
+    _pack,
+    num_pairs,
+    pair_endpoints,
+    pair_index,
+    sym_diff_count,
+)
+from graphvar.process import EdgeEvent, EventLogPath
+
+
+def from_matrix(mat: np.ndarray) -> AdjacencyGraph:
+    mat = np.asarray(mat)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError("adjacency matrix must be square")
+    b = mat.astype(bool)
+    if np.any(np.diag(b)):
+        raise ValueError("adjacency matrix must have zero diagonal")
+    if not np.array_equal(b, b.T):
+        raise ValueError("adjacency matrix must be symmetric")
+    return AdjacencyGraph(b.shape[0], _pack(b[pair_endpoints(b.shape[0])]))
+
+
+def has_edge(g: AdjacencyGraph, i: int, j: int) -> bool:
+    if i == j and 1 <= i <= g.n:
+        return False
+    a, b = (i, j) if i < j else (j, i)
+    return bool((g.bits >> pair_index(a, b, g.n)) & 1)
+
+
+def events(path: EventLogPath) -> Iterator[EdgeEvent]:
+    for k in range(path.event_count):
+        yield EdgeEvent(
+            float(path.times[k]),
+            int(path.edge_i[k]),
+            int(path.edge_j[k]),
+            int(path.values[k]),
+        )
+
+
+def edit_density(f: AdjacencyGraph, g: AdjacencyGraph) -> float:
+    """Fraction of ordered vertex pairs on which f and g disagree."""
+    if f.n != g.n:
+        raise ValueError(f"vertex counts differ: {f.n} vs {g.n}")
+    if f.n < 2:
+        raise ValueError("edit density needs at least 2 vertices")
+    return 2.0 * sym_diff_count(f, g) / (f.n * (f.n - 1))
+
+
+def prefix_agreement(f: AdjacencyGraph, g: AdjacencyGraph) -> int:
+    """Largest n with f|_n = g|_n; equals the full vertex count for equal graphs."""
+    if f.n != g.n:
+        raise ValueError(f"vertex counts differ: {f.n} vs {g.n}")
+    diff = f.bits ^ g.bits
+    if diff == 0:
+        return f.n
+    _, jj = pair_endpoints(f.n)
+    vec = AdjacencyGraph(f.n, diff).to_pair_vector()
+    # first disagreeing pair blocks every window containing its larger endpoint
+    return int(jj[vec].min())
+
+
+def prefix_metric(f: AdjacencyGraph, g: AdjacencyGraph) -> float:
+    """1 / prefix_agreement, with 0 for graphs equal on the whole truncation."""
+    if f.bits == g.bits and f.n == g.n:
+        return 0.0
+    return 1.0 / prefix_agreement(f, g)
+
+
+def density_mc(
+    pattern: AdjacencyGraph,
+    host: AdjacencyGraph,
+    n_samples: int = 100_000,
+    seed=0,
+) -> tuple[float, float]:
+    """Monte Carlo pattern density: (estimate, binomial standard error)."""
+    codes = _mc_codes(host.to_matrix(), pattern.n, n_samples, seed)
+    hits = int(np.count_nonzero(codes == pattern.bits))
+    est = hits / n_samples
+    return est, math.sqrt(est * (1.0 - est) / n_samples)
 
 
 @dataclass(frozen=True)

@@ -464,7 +464,7 @@ def test_densities_exact_level3_at_analyze_size(tmp_path, capsys):
     assert main([*args, "--budget", "130559"]) == 2
     err = capsys.readouterr().err
     assert "usage error: exact count needs 130560 word ANDs at level 3" in err
-    assert "use density_mc instead" in err
+    assert 'use --mode mc (mode="mc") instead' in err and "density_mc" not in err
     assert main([*args, "--budget", "0"]) == 2
     assert "usage error: exact_budget must be positive" in capsys.readouterr().err
 

@@ -1,10 +1,14 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import graphvar
+import oracles
+from graphvar import EventLogPath
 from graphvar.graphs import (
     MAX_VERTEX_PAIRS,
     AdjacencyGraph,
@@ -20,7 +24,7 @@ from graphvar.graphs import (
     sym_diff_count,
     write_edge_list,
 )
-from oracles import InjectiveMap, apply_map, project, restrict, window_mask
+from oracles import InjectiveMap, apply_map, from_matrix, has_edge, project, restrict, window_mask
 
 
 def test_pair_index_row_major_order():
@@ -46,8 +50,8 @@ def test_pair_index_rejects_bad_pairs(bad):
 def test_graph_construction_and_edges():
     g = AdjacencyGraph.from_edges(5, [(1, 2), (4, 2), (3, 5)])
     assert g.edge_count == 3
-    assert g.has_edge(2, 4) and g.has_edge(4, 2)
-    assert not g.has_edge(1, 5)
+    assert has_edge(g, 2, 4) and has_edge(g, 4, 2)
+    assert not has_edge(g, 1, 5)
     assert list(g.edges()) == [(1, 2), (2, 4), (3, 5)]
     assert AdjacencyGraph.complete(4).edge_count == 6
     assert AdjacencyGraph.empty(4).bits == 0
@@ -55,10 +59,10 @@ def test_graph_construction_and_edges():
 
 def test_has_edge_checks_range_before_self_loops():
     g = AdjacencyGraph.complete(4)
-    assert not g.has_edge(1, 1) and not g.has_edge(4, 4)
+    assert not has_edge(g, 1, 1) and not has_edge(g, 4, 4)
     for i, j in [(9, 9), (0, 0), (5, 5), (0, 2), (2, 5)]:
         with pytest.raises(ValueError, match=rf"pair \({min(i, j)}, {max(i, j)}\) out of range for n=4"):
-            g.has_edge(i, j)
+            has_edge(g, i, j)
 
 
 @pytest.mark.parametrize("n", [1, 2, 30])
@@ -122,7 +126,7 @@ def test_bits_out_of_range_rejected():
 
 def test_matrix_roundtrip():
     g = er_sample(13, 0.4, 3)
-    assert AdjacencyGraph.from_matrix(g.to_matrix()) == g
+    assert from_matrix(g.to_matrix()) == g
     mat = g.to_matrix()
     assert not mat.diagonal().any()
     assert (mat == mat.T).all()
@@ -130,11 +134,11 @@ def test_matrix_roundtrip():
 
 def test_from_matrix_validation():
     with pytest.raises(ValueError):
-        AdjacencyGraph.from_matrix(np.eye(3))
+        from_matrix(np.eye(3))
     bad = np.zeros((3, 3))
     bad[0, 1] = 1  # not symmetric
     with pytest.raises(ValueError):
-        AdjacencyGraph.from_matrix(bad)
+        from_matrix(bad)
 
 
 def test_pair_vector_roundtrip():
@@ -234,7 +238,7 @@ def test_edge_list_refuses_oversized_vertex_count(tmp_path):
         read_edge_list(f)
     f.write_text("n 5793\n5792 5793\n1 2\n")
     g = read_edge_list(f)
-    assert g.edge_count == 2 and g.has_edge(5793, 5792) and g.has_edge(1, 2)
+    assert g.edge_count == 2 and has_edge(g, 5793, 5792) and has_edge(g, 1, 2)
 
 
 @st.composite
@@ -338,3 +342,34 @@ def test_property_restrict_tower(g, a, b):
     a = min(a, g.n)
     b = min(b, a)
     assert restrict(restrict(g, a), b) == restrict(g, b)
+
+
+PUBLIC_NAMES = [
+    "AdjacencyGraph", "CheckResult", "DataError", "DensityLevel", "DensityVector",
+    "DyadicDiagnostic", "EdgeEvent", "EventLogPath", "ExchangeabilityReport",
+    "JumpBoundReport", "JumpCounts", "LadderProfile", "MODELS", "PiecewiseRate", "Refused",
+    "RunConfig", "StepGraphon", "StoppingLadder", "VariationCell", "VariationGrid",
+    "VerificationReport", "WEIGHT_FAMILIES", "WeightFunction", "bound_constant",
+    "default_windows", "density_exact", "density_quantum", "dyadic_diagnostic", "er_sample",
+    "exchangeability_check", "finite_dim_variation", "jump_bound_check", "jump_counts",
+    "limit_metric", "limit_vector", "lipschitz_check", "load_config", "load_density_vector",
+    "load_path", "np_profile", "num_pairs", "pair_index", "partial_zeta", "perm_prefix_power",
+    "prefix_power_series", "read_edge_list", "resolve_config", "run_verification",
+    "save_density_vector", "save_path", "simulate", "simulate_edge_flip",
+    "simulate_graphon_jump", "slln_statistic", "snapshot", "stopping_ladder", "sym_diff_count",
+    "total_variation_check", "variation_bound_check", "variation_grid", "weight_admissibility",
+    "weight_family", "write_edge_list",
+]
+
+
+def test_public_surface_is_pinned():
+    """graphvar exports exactly PUBLIC_NAMES (submodules aside), and no test
+    oracle is reachable from the package or its two core types."""
+    public = sorted(name for name, v in vars(graphvar).items()
+                    if not name.startswith("_") and not isinstance(v, types.ModuleType))
+    assert public == PUBLIC_NAMES
+    defined = [name for name, v in vars(oracles).items()
+               if getattr(v, "__module__", None) == oracles.__name__]
+    assert "density_mc" in defined and "events" in defined
+    for owner in (graphvar, AdjacencyGraph, EventLogPath):
+        assert [name for name in defined if hasattr(owner, name)] == []

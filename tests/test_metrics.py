@@ -15,17 +15,22 @@ from graphvar.metrics import (
     EXACT_PERM_LIMIT,
     HEAD_POSITIONS,
     RELABEL_BATCH,
-    edit_density,
     partial_zeta,
     perm_prefix_power,
-    prefix_agreement,
     prefix_distances,
-    prefix_metric,
     prefix_power_series,
     relabelings,
     slln_statistic,
 )
-from oracles import InjectiveMap, apply_map, project, restrict
+from oracles import (
+    InjectiveMap,
+    apply_map,
+    edit_density,
+    prefix_agreement,
+    prefix_metric,
+    project,
+    restrict,
+)
 
 
 def perm_average(h, f, g, m, k=1000, seed=0):

@@ -24,7 +24,7 @@ from graphvar.variation import (
     variation_bound_check,
     variation_grid,
 )
-from oracles import InjectiveMap, apply_map
+from oracles import InjectiveMap, apply_map, events
 
 
 def naive_ladder(path, p):
@@ -34,7 +34,7 @@ def naive_ladder(path, p):
     cur = set(path.initial.edges())
     anchor = set(cur)
     taus, anchors, steps, type_a = [0.0], [frozenset(cur)], [], []
-    for t, group in itertools.groupby(path.events(), key=lambda e: e.time):
+    for t, group in itertools.groupby(events(path), key=lambda e: e.time):
         batch = list(group)
         for ev in batch:
             if ev.new_value:
@@ -302,10 +302,10 @@ def test_ladder_threshold_validation():
 def relabeled(path, perm):
     """The path whose edge (k, l) tracks the original (perm[k-1], perm[l-1])."""
     position = {v: k for k, v in enumerate(perm, start=1)}
-    events = [EdgeEvent(ev.time, *sorted((position[ev.i], position[ev.j])), ev.new_value)
-              for ev in path.events()]
+    moved = [EdgeEvent(ev.time, *sorted((position[ev.i], position[ev.j])), ev.new_value)
+             for ev in events(path)]
     initial = apply_map(path.initial, InjectiveMap(tuple(perm)))
-    return EventLogPath.from_events(path.n, path.horizon, initial, events)
+    return EventLogPath.from_events(path.n, path.horizon, initial, moved)
 
 
 def test_ladder_relabel_invariant():

@@ -108,10 +108,10 @@ def _subquantum_path():
 REFUSAL_SITES = [
     ("exact-budget", lambda: _exact_counts(AdjacencyGraph.complete(8), 5, 10),
      "exact count needs 6720 tuples at level 5 on 8 vertices, over the budget of 10; "
-     "use density_mc instead"),
+     'use --mode mc (mode="mc") instead'),
     ("exact-budget-words", lambda: _exact_counts(AdjacencyGraph.complete(8), 4, 10),
      "exact count needs 196 word ANDs at level 4 on 8 vertices, over the budget of 10; "
-     "use density_mc instead"),
+     'use --mode mc (mode="mc") instead'),
     ("mc-samples", lambda: _mc_codes(np.zeros((8, 8), dtype=bool), 2, 2**23 + 1, 0),
      "k_inj=8388609 samples of 2-tuples need 16777218 vertices, over the limit of 16777216"),
     ("relabel-positions", lambda: relabelings(8, 2**21 + 1, 0),
