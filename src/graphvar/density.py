@@ -86,9 +86,10 @@ _SWAR = tuple(np.uint64(c) for c in (1, 2, 4, 56, 0x5555555555555555, 0x33333333
                                      0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
 
 
-def _popcount(x: np.ndarray) -> np.ndarray:
+def _popcount_swar(x: np.ndarray) -> np.ndarray:
     """Set bits of each uint64 word, in place: the SWAR count of Warren, Hacker's
-    Delight, 5-1, with np.uint64 constants only so numpy 1.x shifts stay unsigned."""
+    Delight, 5-1, with np.uint64 constants only so numpy 1.x shifts stay unsigned.
+    The fallback of numpy 1.x; _popcount is the hardware count where numpy has it."""
     s1, s2, s4, s56, m1, m2, m4, h01 = _SWAR
     t = x >> s1
     x -= np.bitwise_and(t, m1, out=t)
@@ -99,6 +100,10 @@ def _popcount(x: np.ndarray) -> np.ndarray:
     x &= m4
     x *= h01
     return np.right_shift(x, s56, out=x)
+
+
+# set bits of each word: uint8 counts from one pass (numpy >= 2), else uint64 ones
+_popcount = getattr(np, "bitwise_count", _popcount_swar)
 
 
 def _degrees_and_triangles(host: AdjacencyGraph) -> tuple[np.ndarray, int]:
@@ -535,7 +540,7 @@ def lipschitz_check(
     h: AdjacencyGraph,
     budget: int = DEFAULT_EXACT_BUDGET,
 ) -> LipschitzReport:
-    """|t(F;g) - t(F;h)| <= C(k,2) * edit_density(g, h).
+    """|t(F;g) - t(F;h)| <= C(k,2) times the edit density of g and h.
 
     Both sides are exact rationals, so the margin is exact and the check has
     zero tolerance.

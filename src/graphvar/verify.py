@@ -140,7 +140,7 @@ def _check_density_normalization(cfg: RunConfig, adversarial: bool) -> Measured:
 
 
 def _check_lipschitz_margin(cfg: RunConfig, adversarial: bool) -> Measured:
-    statement = "|t(F;G) - t(F;H)| <= C(k,2) * edit_density(G, H), exact rationals"
+    statement = "|t(F;G) - t(F;H)| <= C(k,2) * the edit density of G and H, exact rationals"
     rng = np.random.default_rng([cfg.seed, 102])
     worst = math.inf
     for r in range(100):

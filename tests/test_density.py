@@ -19,6 +19,7 @@ from graphvar.density import (
     _level4_counts,
     _mc_codes,
     _popcount,
+    _popcount_swar,
     bound_constant,
     density_exact,
     finite_dim_variation,
@@ -188,12 +189,19 @@ def test_each_single_triangle_across_word_boundaries():
         assert t == 1 and (deg.tolist(), t) == brute_degrees_and_triangles(host), (k, i, j)
 
 
-def test_popcount_matches_int_bit_count():
+# the kernel density selects (np.bitwise_count on numpy >= 2) and the SWAR
+# fallback, both callable on numpy 2; each returns its own count dtype
+POPCOUNTS = {"selected": _popcount, "swar": _popcount_swar}
+
+
+@pytest.mark.parametrize("kernel", sorted(POPCOUNTS))
+def test_popcount_matches_int_bit_count(kernel):
+    popcount = POPCOUNTS[kernel]
     rng = np.random.default_rng(83)
     words = [0, 2**64 - 1] + [1 << b for b in range(64)]
     words += rng.integers(0, 2**64 - 1, size=500, dtype=np.uint64, endpoint=True).tolist()
-    got = _popcount(np.array(words, dtype=np.uint64))
-    assert got.dtype == np.uint64
+    got = popcount(np.array(words, dtype=np.uint64))
+    assert got.dtype == (np.uint64 if popcount is _popcount_swar else np.uint8)
     assert got.tolist() == [w.bit_count() for w in words]
 
 

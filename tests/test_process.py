@@ -2,6 +2,8 @@ import io
 import json
 import math
 import re
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -826,7 +828,7 @@ def test_event_columns_match_record_parser(case):
 def test_truncated_number_parse_fails(monkeypatch):
     # a time the column parser cannot read to its end, let through a looser gate:
     # numpy 2 raises, and numpy 1.x's DeprecationWarning is an error under pytest
-    monkeypatch.setattr(process, "_EVENT_LINE", re.compile(r"^.+$", re.MULTILINE))
+    monkeypatch.setattr(process, "_EVENT_BLOCK", re.compile(r"(?:.+\n)*(?:.+)?"))
     with pytest.raises((ValueError, DeprecationWarning), match="could not be read to its end"):
         _events("p.jsonl", io.StringIO(event_line(1, 2, 0.5, 1).replace("0.5", "0.5x")), 2, 1.0)
 
@@ -1050,6 +1052,116 @@ def test_only_the_chunk_off_the_layout_is_parsed_per_record(tmp_path, monkeypatc
     assert first_lineno + count - 1 == len(lines)  # the chunk that holds the last line
     assert chars <= _CHUNK_CHARS + len(lines[-1])  # and no more than one chunk
     assert 3 * count < len(lines)
+
+
+def long_lines_text():
+    """Event lines of a saved path, then lines longer than 2**18 characters (a
+    300,000-digit time in the canonical layout, and a record padded with spaces
+    off it), a blank line, and a last line without its newline; n = 8, horizon 2."""
+    path = simulate_edge_flip(8, 1.0, seed=6)
+    lines = [event_line(i, j, t, v) for i, j, t, v in
+             zip(path.edge_i.tolist(), path.edge_j.tolist(), path.times.tolist(),
+                 path.values.tolist())]
+    lines += [event_line(1, 2, 1.5, 1).replace("1.5", "1.5" + "0" * 300_000),
+              '{"t": 1.75, "j": 3,' + " " * 300_000 + '"i": 1, "type": "ev", "v": 1}\n',
+              "\n", event_line(2, 3, 2.0, 0).rstrip("\n")]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 64, 200, 1 << 18])
+def test_chunk_size_does_not_change_the_events(monkeypatch, chunk_chars):
+    text = long_lines_text()
+    want = _event_records("p.jsonl", io.StringIO(text).readlines(), 3, 8, 2.0)
+    monkeypatch.setattr(process, "_CHUNK_CHARS", chunk_chars)
+    got = _events("p.jsonl", io.StringIO(text), 8, 2.0)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got[0].size == text.count("\n")  # every line but the blank one is an event
+    assert got[0][-3:].tolist() == [1.5, 1.75, 2.0]
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 64, 1 << 18])
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_load_path_reads_crlf_and_cr_as_lf(tmp_path, monkeypatch, chunk_chars, newline):
+    path = simulate_edge_flip(8, 2.0, seed=6)
+    f = tmp_path / "p.jsonl"
+    save_path(path, f)
+    g = tmp_path / "q.jsonl"
+    g.write_bytes(f.read_bytes().replace(b"\n", newline.encode()))
+    monkeypatch.setattr(process, "_CHUNK_CHARS", chunk_chars)
+    assert load_path(g) == load_path(f) == path
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 64, 1 << 18])  # 1: one line per chunk
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_line_separators_other_than_newline_keep_line_numbers(chunk_chars, sep, monkeypatch):
+    # str.splitlines would end a line at each of these characters
+    monkeypatch.setattr(process, "_CHUNK_CHARS", chunk_chars)
+    first = event_line(1, 2, 0.25, 1)
+    with pytest.raises(DataError, match=r"^p\.jsonl: line 4: invalid JSON \(Extra data\)$"):
+        _events("p.jsonl", io.StringIO(first + first.replace("\n", sep + "\n")), 4, 1.0)
+    with pytest.raises(DataError, match=r"^p\.jsonl: line 5: need 1 <= i < j <= 4$"):
+        _events("p.jsonl", io.StringIO(first + sep + "\n" + event_line(2, 9, 0.5, 1)), 4, 1.0)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="possessive repeats need Python 3.11")
+def test_block_gate_keeps_no_state_per_line():
+    # a full chunk of canonical lines matches in memory that does not grow with it
+    line = event_line(123, 4567, 0.123456789, 1)
+    text = line * (_CHUNK_CHARS // len(line))
+    bad = text[:-1] + "x"
+    tracemalloc.start()
+    try:
+        assert process._EVENT_BLOCK.fullmatch(text)
+        assert process._EVENT_BLOCK.fullmatch(bad) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def mutants(text: str, count: int, seed: int):
+    """count copies of text, each with one to three edits: a CRLF or a lone CR for a
+    newline, an inserted \\x0b, non-ASCII byte or blank line, or deleted bytes."""
+    rng = np.random.default_rng(seed)
+    data = text.encode()
+    edits = [lambda b, k: b[:k] + b"\r" + b[k:] if b[k:k + 1] == b"\n" else b,
+             lambda b, k: b[:k] + b"\r" + b[k + 1:] if b[k:k + 1] == b"\n" else b,
+             lambda b, k: b[:k] + b"\x0b" + b[k:],
+             lambda b, k: b[:k] + bytes([int(rng.integers(128, 256))]) + b[k:],
+             lambda b, k: b[:k] + b"\n" + b[k:],
+             lambda b, k: b[:k] + b[k + int(rng.integers(1, 8)):]]
+    for _ in range(count):
+        b = data
+        for _ in range(int(rng.integers(1, 4))):
+            b = edits[int(rng.integers(len(edits)))](b, int(rng.integers(len(b))))
+        yield b
+
+
+@pytest.mark.parametrize("chunk_chars", [64, 1 << 18])
+def test_block_gate_changes_no_load_of_mutated_files(tmp_path, monkeypatch, chunk_chars):
+    # the same path, or the same DataError text, with the fast path on and with
+    # every chunk sent to the per-record parser
+    path = simulate_edge_flip(6, 1.5, seed=8)
+    f = tmp_path / "p.jsonl"
+    save_path(path, f)
+    monkeypatch.setattr(process, "_CHUNK_CHARS", chunk_chars)
+
+    def load():
+        try:
+            return load_path(f)
+        except DataError as exc:
+            return str(exc)
+
+    outcomes = set()
+    for data in mutants(f.read_text(), 150, seed=chunk_chars):
+        f.write_bytes(data)
+        live = load()
+        with monkeypatch.context() as m:
+            m.setattr(process, "_EVENT_BLOCK", re.compile("(?!)"))
+            assert load() == live
+        outcomes.add(type(live))
+    assert outcomes == {str, EventLogPath}
 
 
 @pytest.mark.parametrize("edges", ["[1, 2]", "null", '"ab"', "[[1, 2], [3]]", "[[1.5, 2]]",
