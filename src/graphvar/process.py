@@ -396,10 +396,13 @@ def simulate_edge_flip(
     e = pairs.shape[0]
     order = _pair_order(pairs, num_pairs(n))
     sp = pairs[order]
-    starts = np.r_[0, np.flatnonzero(np.diff(sp)) + 1]
-    occ = np.arange(e) - np.repeat(starts, np.diff(np.r_[starts, e]))
+    first = np.ones(e, dtype=bool)  # in pair order, the first event on each pair
+    first[1:] = sp[1:] != sp[:-1]
+    at = np.arange(e)
+    # an event's occurrence on its pair, from the position of the pair's first event
+    occ = at - np.maximum.accumulate(np.where(first, at, 0))
     values = np.empty(e, dtype=np.int8)
-    values[order] = draw.init_vec.astype(np.int8)[sp] ^ np.int8(1) ^ (occ % 2).astype(np.int8)
+    values[order] = draw.init_vec.astype(np.int8)[sp] ^ np.int8(1) ^ (occ & 1).astype(np.int8)
 
     meta = {
         "model": "edge-flip-planted" if boost_edge is not None else "edge-flip",
@@ -527,16 +530,15 @@ def snapshot(path: EventLogPath, t: float) -> AdjacencyGraph:
     return AdjacencyGraph.from_pair_vector(path.n, vec)
 
 
-def apply_events(path: EventLogPath, state: np.ndarray, lo: int, hi: int,
-                 ids: np.ndarray | None = None) -> None:
-    """Advance `state`, the pair vector just before event lo, past event hi - 1;
-    with ids (EventIndex.slot), `state` is indexed by those instead of pair ids.
+def apply_events(path: EventLogPath, state: np.ndarray, lo: int, hi: int) -> None:
+    """Advance `state`, the pair vector just before event lo, past event hi - 1.
 
     One scatter: each pair touched in [lo, hi) takes the value of its last
     event there, the one whose next same-pair event lies at or past hi.
+    stopping_ladder writes the same scatter inline, over slots and +-1 states.
     """
     last = path.event_index.next_same[lo:hi] >= hi
-    state[(path.pair_ids if ids is None else ids)[lo:hi][last]] = path.values[lo:hi][last]
+    state[path.pair_ids[lo:hi][last]] = path.values[lo:hi][last]
 
 
 def jump_counts(path: EventLogPath) -> JumpCounts:

@@ -93,10 +93,12 @@ def stopping_ladder(path: EventLogPath, p: float) -> StoppingLadder:
     are rejected.
 
     The scan is vectorized one segment at a time over the path's shared
-    EventIndex: event k moves the disagreement count with the anchor by +1
-    when the pair's state just before it equals the anchor's, else by -1,
-    and the first batch end whose running count reaches p * C(n,2) is the
-    next crossing.
+    EventIndex, with states as +-1 (0 as +1, 1 as -1): event k moves the
+    disagreement count with the anchor by the product of the pair's state
+    just before it and the anchor's, +1 when they agree, else -1.  The first
+    batch end whose running count reaches p * C(n,2) is the next crossing;
+    the batch-end mask is applied only on a path with a same-time batch.  The
+    +-1 prior states and after-values cost 2 bytes per event for the scan.
     """
     if not (0.0 < p < 1.0):
         raise ValueError("threshold p must lie strictly between 0 and 1")
@@ -115,41 +117,46 @@ def stopping_ladder(path: EventLogPath, p: float) -> StoppingLadder:
     first_chunk = (int(-0.55 * npairs * math.log1p(-2 * p)) if p < 0.45 else 2 * need) + 32
 
     idx = path.event_index
-    before, slot, batch_end, times = idx.before, idx.slot, idx.batch_end, path.times
+    slot, batch_end, next_same = idx.slot, idx.batch_end, idx.next_same
+    ties = not batch_end.all()  # edge-flip paths have no same-time batch
     e = path.event_count
-    anchor = idx.slot_initial.copy()  # over the pairs the path touches
+    # states as +-1 (0 -> +1, 1 -> -1): an event's prior state times the anchor's is +1
+    # when they agree; the anchor covers the pairs the path touches
+    sign, after = 1 - 2 * idx.before.view(np.int8), 1 - 2 * path.values
+    anchor = 1 - 2 * idx.slot_initial.view(np.int8)
 
-    taus = [0.0]
-    ends: list[int] = []
-    densities: list[float] = []
-    type_a: list[bool] = []
-
-    pos = 0  # first event of the current segment
-    while True:
-        lo, chunk, diff, k = pos, first_chunk, 0, None
+    ends: list[int] = []  # one past each crossing, then e for the uncrossed tail
+    diffs: list[int] = []
+    pos, crossing = 0, True  # pos: first event of the current segment
+    while crossing:
+        lo, chunk, diff, end, crossing = pos, first_chunk, 0, e, False
         while lo < e:
             hi = min(e, lo + chunk)
-            running = np.where(before[lo:hi] == anchor[slot[lo:hi]], 1, -1).cumsum()
-            crossed = batch_end[lo:hi] & (running >= need - diff)
+            running = (sign[lo:hi] * anchor[slot[lo:hi]]).cumsum()
+            crossed = running >= need - diff
+            if ties:
+                crossed &= batch_end[lo:hi]
             j = int(crossed.argmax())
             if crossed[j]:
-                k, diff = lo + j, diff + int(running[j])
+                end, diff, crossing = lo + j + 1, diff + int(running[j]), True
                 break
             diff += int(running[-1])
             lo, chunk = hi, 2 * chunk
-        end = e if k is None else k + 1
-        apply_events(path, anchor, pos, end, slot)
-        densities.append(diff / npairs)
-        if k is None:
-            break
-        taus.append(float(times[k]))
+        # apply_events' scatter, with the events' +-1 after-values
+        last = next_same[pos:end] >= end
+        anchor[slot[pos:end][last]] = after[pos:end][last]
         ends.append(end)
-        # type-A when the crossing batch alone holds `need` events, i.e. the
-        # `need` events up to the crossing share its time
-        type_a.append(bool(end >= need and times[end - need] == times[k]))
+        diffs.append(diff)
         pos = end
 
-    return StoppingLadder(p, tuple(taus), tuple(ends), tuple(densities), tuple(type_a), path)
+    rungs = tuple(ends[:-1])
+    at = np.array(rungs, dtype=np.intp)
+    crossings = path.times[at - 1]
+    # type-A when the crossing batch alone holds `need` events, i.e. the
+    # `need` events up to the crossing share its time
+    type_a = (at >= need) & (path.times[np.maximum(at - need, 0)] == crossings)
+    return StoppingLadder(p, (0.0, *crossings.tolist()), rungs,
+                          tuple((np.array(diffs) / npairs).tolist()), tuple(type_a.tolist()), path)
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,23 @@ def test_ladder_counts_against_the_state_before_each_event():
     assert tuple(lad.snapshots())[1:] == (edge, edge, empty, empty)
 
 
+@pytest.mark.parametrize("tie", [True, False], ids=["batch", "distinct"])
+def test_ladder_crosses_only_at_a_batch_end(tie):
+    # need = 3 of C(5,2) = 10 pairs.  The first event of the batch at t = 0.3
+    # already brings the count to 3, yet the crossing waits for the batch's
+    # last event; at distinct times the same events cross one event earlier.
+    times = [0.1, 0.2, 0.3, 0.3 if tie else 0.35, 0.4, 0.5]
+    pairs = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4)]
+    path = EventLogPath.from_events(
+        5, 1.0, AdjacencyGraph.empty(5), [EdgeEvent(t, i, j, 1) for t, (i, j) in zip(times, pairs)])
+    lad = stopping_ladder(path, 0.3)
+    assert lad.ends[0] == (4 if tie else 3)
+    assert lad.taus[1] == 0.3
+    assert lad.densities[0] == (0.4 if tie else 0.3)
+    assert not any(lad.type_a)  # the two-event batch is below need
+    assert_matches_naive(path, 0.3)
+
+
 LADDER_PATHS = {
     "rewritten-edge": rewritten_edge_path,
     "edge-flip": lambda: simulate_edge_flip(24, 3.0, seed=36),
