@@ -160,13 +160,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_densities(args: argparse.Namespace) -> int:
+    if args.graph and args.at is not None:
+        raise ValueError("--at applies only with --path")
     cfg = _resolve(args)
     if args.graph:
         host = read_edge_list(args.graph)
     else:
         path = load_path(args.path)
-        at = path.horizon if args.at is None else args.at
-        host = snapshot(path, at)
+        host = snapshot(path, path.horizon if args.at is None else args.at)
     vec = limit_vector(host, cfg.n_max, mode=args.mode,
                        n_samples=cfg.k_inj, budget=cfg.exact_budget, seed=cfg.seed)
     if args.out:

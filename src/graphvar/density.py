@@ -82,28 +82,6 @@ def _exact_counts(host: AdjacencyGraph, k: int, budget: int) -> tuple[np.ndarray
 
 
 _GATHER_BYTES = 1 << 21  # bytes of one gathered word block: _GATHER_BYTES // 8 edges
-_SWAR = tuple(np.uint64(c) for c in (1, 2, 4, 56, 0x5555555555555555, 0x3333333333333333,
-                                     0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
-
-
-def _popcount_swar(x: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 word, in place: the SWAR count of Warren, Hacker's
-    Delight, 5-1, with np.uint64 constants only so numpy 1.x shifts stay unsigned.
-    The fallback of numpy 1.x; _popcount is the hardware count where numpy has it."""
-    s1, s2, s4, s56, m1, m2, m4, h01 = _SWAR
-    t = x >> s1
-    x -= np.bitwise_and(t, m1, out=t)
-    np.right_shift(x, s2, out=t)
-    x &= m2
-    x += np.bitwise_and(t, m2, out=t)
-    x += np.right_shift(x, s4, out=t)
-    x &= m4
-    x *= h01
-    return np.right_shift(x, s56, out=x)
-
-
-# set bits of each word: uint8 counts from one pass (numpy >= 2), else uint64 ones
-_popcount = getattr(np, "bitwise_count", _popcount_swar)
 
 
 def _degrees_and_triangles(host: AdjacencyGraph) -> tuple[np.ndarray, int]:
@@ -124,7 +102,7 @@ def _degrees_and_triangles(host: AdjacencyGraph) -> tuple[np.ndarray, int]:
         for e0 in range(start, i.size, step):
             x = col[i[e0 : e0 + step]]
             x &= col[j[e0 : e0 + step]]
-            total += int(_popcount(x).sum())
+            total += int(np.bitwise_count(x).sum())
     return np.bincount(i, minlength=m) + np.bincount(j, minlength=m), total
 
 
@@ -188,8 +166,8 @@ def _level4_counts(host: AdjacencyGraph) -> np.ndarray:
         top = apex > jj[p0 : p0 + step][edge][k]  # ... and k is its lowest edge
         y = common[k[top]]
         y &= rows[apex[top]]
-        k4 += int(_popcount(y).sum())
-        codeg[p0 : p0 + step] = _popcount(x).sum(axis=1)
+        k4 += int(np.bitwise_count(y).sum())
+        codeg[p0 : p0 + step] = np.bitwise_count(x).sum(axis=1)
     deg, e, t = adj.sum(axis=1, dtype=np.int64), int(on.sum()), codeg[on]
     du, dv = deg[ii[on]], deg[jj[on]]
     d2, tri = int((deg * (deg - 1) // 2).sum()), int(t.sum()) // 3

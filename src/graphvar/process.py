@@ -13,7 +13,6 @@ import io
 import json
 import math
 import re
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -559,10 +558,9 @@ _EVENT_LINE = re.compile(
     r'"type": "ev", "v": [01]\}'
 )
 # A chunk of such lines, the last one with or without its newline.  A line ends
-# at its first newline, so the possessive "*+" (Python >= 3.11) gives the same
-# verdicts without keeping backtracking state per line (2.9 MB per 2^18 chars).
-_EVENT_BLOCK = re.compile(f"(?:{_EVENT_LINE.pattern}\n)*{'+' * (sys.version_info >= (3, 11))}"
-                          f"(?:{_EVENT_LINE.pattern})?")
+# at its first newline, so the possessive "*+" gives the same verdicts as a
+# greedy "*" without keeping backtracking state per line.
+_EVENT_BLOCK = re.compile(f"(?:{_EVENT_LINE.pattern}\n)*+(?:{_EVENT_LINE.pattern})?")
 _CHUNK_CHARS = 1 << 18  # event text parsed at once; bounds the loader's memory
 _INIT_LAYOUTS = (('{"edges": [[', ']], "type": "init"}'),  # around an init record's edge
                  ('{"type": "init", "edges": [[', ']]}'))  # text, in either key order

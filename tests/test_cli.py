@@ -717,6 +717,14 @@ def test_densities_at_outside_horizon(tmp_path):
     assert main(["densities", "--path", str(src), "--at", "2.0"]) == 2
 
 
+def test_densities_at_without_path_exits_2_before_reading_the_graph(tmp_path, capsys):
+    out = tmp_path / "d.json"
+    args = ["densities", "--graph", str(tmp_path / "missing.txt"), "--at", "0.5"]
+    assert main([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "usage error: --at applies only with --path\n"
+    assert not out.exists()
+
+
 def test_verify_only_and_report_roundtrip(tmp_path, capsys):
     rep_file = tmp_path / "report.json"
     code = main(["verify", "--only", "weight", "--out", str(rep_file)])

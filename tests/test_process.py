@@ -2,7 +2,6 @@ import io
 import json
 import math
 import re
-import sys
 import tracemalloc
 from unittest import mock
 
@@ -827,7 +826,7 @@ def test_event_columns_match_record_parser(case):
 
 def test_truncated_number_parse_fails(monkeypatch):
     # a time the column parser cannot read to its end, let through a looser gate:
-    # numpy 2 raises, and numpy 1.x's DeprecationWarning is an error under pytest
+    # numpy >= 2.3 raises, and older numpy's DeprecationWarning is an error under pytest
     monkeypatch.setattr(process, "_EVENT_BLOCK", re.compile(r"(?:.+\n)*(?:.+)?"))
     with pytest.raises((ValueError, DeprecationWarning), match="could not be read to its end"):
         _events("p.jsonl", io.StringIO(event_line(1, 2, 0.5, 1).replace("0.5", "0.5x")), 2, 1.0)
@@ -1104,7 +1103,6 @@ def test_line_separators_other_than_newline_keep_line_numbers(chunk_chars, sep, 
         _events("p.jsonl", io.StringIO(first + sep + "\n" + event_line(2, 9, 0.5, 1)), 4, 1.0)
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="possessive repeats need Python 3.11")
 def test_block_gate_keeps_no_state_per_line():
     # a full chunk of canonical lines matches in memory that does not grow with it
     line = event_line(123, 4567, 0.123456789, 1)
