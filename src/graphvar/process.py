@@ -811,7 +811,6 @@ def exchangeability_check(
     seed_count: int,
     seed=0,
     window: int = 8,
-    horizon: float = 1.0,
 ) -> ExchangeabilityReport:
     """Two-sample KS test of the windowed jump count against relabeled paths.
 
@@ -821,9 +820,10 @@ def exchangeability_check(
     relabeling sigma vertex v sits at position sigma^{-1}(v), so an event
     lies in the relabeled window iff both endpoints' positions do.  The
     count needs only each pair's event count, so edge-flip samples stop the
-    simulator's draw stage at its Poisson counts and draw no times.  For exchangeable
-    generators both samples share one distribution and the p-value is
-    approximately uniform; a planted per-edge asymmetry shifts the relabeled
+    simulator's draw stage at its Poisson counts and draw no times.  The
+    p-value is the equal-size KS test's exact null.  For exchangeable
+    generators both samples share one distribution and tied counts only make
+    the test conservative; a planted per-edge asymmetry shifts the relabeled
     sample and drives the p-value to zero.
     """
     if seed_count < 20:
@@ -835,9 +835,8 @@ def exchangeability_check(
     def pair_counts(sample_seed) -> np.ndarray:
         """Events per pair id in one sample."""
         if model == "graphon-jump":
-            return jump_counts(simulate_graphon_jump(n, seed=sample_seed, horizon=horizon,
-                                                     **args)).counts
-        return _draw_edge_flip(n, horizon=horizon, seed=sample_seed, times=False, **args).counts
+            return jump_counts(simulate_graphon_jump(n, seed=sample_seed, **args)).counts
+        return _draw_edge_flip(n, seed=sample_seed, times=False, **args).counts
 
     ii, jj = pair_endpoints(n)
 
@@ -858,11 +857,21 @@ def exchangeability_check(
         sigma = np.random.default_rng(base + [2, r]).permutation(n)
         relabeled[r] = windowed_count(counts, np.argsort(sigma))
 
-    from scipy import stats  # imported here: it costs most of a cold `import graphvar`
+    return ExchangeabilityReport(seed_count, *_ks_two_sample(plain, relabeled))
 
-    ks = stats.ks_2samp(plain, relabeled, method="asymp")
-    return ExchangeabilityReport(
-        seed_count=seed_count,
-        ks_statistic=float(ks.statistic),
-        p_value=float(ks.pvalue),
-    )
+
+def _ks_two_sample(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Two-sided KS statistic D of two size-n samples and its exact p-value, the
+    equal-size null P(D >= c/n) = 2 sum_{j>=1} (-1)^(j+1) C(2n, n-jc) / C(2n, n)
+    of Gnedenko and Korolyuk (1951), in time linear in n."""
+    n = len(x)
+    x, y = np.sort(x), np.sort(y)
+    both = np.concatenate([x, y])
+    diff = np.searchsorted(x, both, side="right") / n - np.searchsorted(y, both, side="right") / n
+    d = float(max(diff.max(), np.clip(-diff.min(), 0, 1)))
+    c = round(d * n)
+    if c == 0:
+        return d, 1.0
+    k = np.arange(1, n + 1)
+    ratios = np.cumprod((n - k + 1) / (n + k))[c - 1::c]  # C(2n, n-jc) / C(2n, n), j = 1, 2, ...
+    return d, min(1.0, float(2 * (ratios[::2].sum() - ratios[1::2].sum())))

@@ -6,13 +6,15 @@ queries: a graph from its adjacency matrix, one edge lookup, and a path's
 events one at a time.  Single-pair metrics: edit density and the
 first-disagreement (prefix) metric, against which the relabeling kernel
 metrics.prefix_distances is checked.  Pattern densities: one pattern's Monte
-Carlo estimate from the sampler that limit_vector uses.
+Carlo estimate from the sampler that limit_vector uses.  The two-sample KS
+null: the exact tail of the equal-size statistic by counting lattice paths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -162,3 +164,22 @@ def project(g: AdjacencyGraph, m: int) -> AdjacencyGraph:
     if m >= g.n:
         return g
     return AdjacencyGraph(g.n, g.bits & window_mask(g.n, m))
+
+
+def ks_null_tail(n: int, c: int) -> Fraction:
+    """P(D >= c/n) for two tie-free size-n samples under the null, exactly.
+
+    Merging the samples in order is a monotone lattice path from (0, 0) to
+    (n, n), all C(2n, n) of them equally likely, and D = max |i - j| / n over
+    its points.  So the tail is one minus the share of paths that keep
+    |i - j| < c, counted row by row.
+    """
+    if c <= 0:
+        return Fraction(1)
+    row = [int(j < c) for j in range(n + 1)]  # paths to (0, j)
+    for i in range(1, n + 1):
+        new = [0] * (n + 1)
+        for j in range(max(0, i - c + 1), min(n, i + c - 1) + 1):
+            new[j] = row[j] + (new[j - 1] if j else 0)
+        row = new
+    return 1 - Fraction(row[n], math.comb(2 * n, n))

@@ -1043,8 +1043,11 @@ def test_config_values_of_wrong_type_raise_data_error(items):
     RunConfig(**parse_config_text(text))  # values fine one by one are fine together
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is imported by the one KS call that needs it, not by every command
-    code = "import sys, graphvar.cli; sys.exit('scipy.stats' in sys.modules)"
+def test_verify_ks_checks_load_no_scipy():
+    # the KS p-value is graphvar's own, so even the two KS checks run without scipy
+    code = ("import sys, graphvar.cli; status = graphvar.cli.main(['verify', '--only', 'ks']); "
+            "print(status, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"

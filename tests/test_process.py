@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import timeit
 import tracemalloc
 from unittest import mock
 
@@ -26,6 +27,7 @@ from graphvar.process import (
     _CHUNK_CHARS,
     _draw_edge_flip,
     _EVENT_LINE,
+    _ks_two_sample,
     _SAVE_CHUNK,
     MODELS,
     EdgeEvent,
@@ -46,7 +48,7 @@ from graphvar.process import (
     _init_record,
     _pair_order,
 )
-from oracles import InjectiveMap, apply_map, events, has_edge, restrict
+from oracles import InjectiveMap, apply_map, events, has_edge, ks_null_tail, restrict
 
 
 def replay(path, t):
@@ -1302,6 +1304,36 @@ def test_planted_model_fails_ks():
     assert rep.p_value < 0.01
 
 
+def _ks_samples(n, spread, shift, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.poisson(spread, n).astype(float),
+            rng.poisson(spread * shift, n).astype(float))
+
+
+@pytest.mark.parametrize("x,y", [
+    *[_ks_samples(n, spread, shift, seed)
+      for n in (20, 50, 200)
+      for spread, shift, seed in [(12.0, 1.0, 0), (30.0, 1.15, 1), (5.0, 1.6, 2)]],
+    _ks_samples(50, 0.3, 1.0, 3),  # heavy ties: mostly zeros
+    _ks_samples(200, 1.0, 2.0, 4),
+    (np.full(20, 3.0), np.full(20, 3.0)),  # identical: d = 0
+    (np.arange(0.0, 100, 2), np.arange(1.0, 100, 2)),  # interleaved: c = 1, p = 1
+    (np.arange(200.0), np.arange(200.0) + 200),  # disjoint: d = 1
+])
+def test_ks_two_sample_matches_lattice_path_count_and_scipy(x, y):
+    n = len(x)
+    d, p = _ks_two_sample(x, y)
+    assert d == stats.ks_2samp(x, y, method="asymp").statistic
+    assert p == pytest.approx(float(ks_null_tail(n, round(d * n))), rel=1e-12)
+    assert p == pytest.approx(stats.ks_2samp(x, y, method="exact").pvalue, rel=1e-12)
+
+
+def test_ks_two_sample_cost_is_linear_in_n():
+    x, y = _ks_samples(100_000, 5.0, 1.0, 5)
+    assert min(timeit.repeat(lambda: _ks_two_sample(x, y), number=1, repeat=3)) < 0.5
+    assert 0.0 <= _ks_two_sample(x, y)[1] <= 1.0
+
+
 def oracle_relabel_path(path, perm):
     """The whole relabeled path: edge (k, l) tracks the original (perm[k-1], perm[l-1])."""
     sigma = np.asarray(perm, dtype=np.int64)
@@ -1337,8 +1369,7 @@ def oracle_exchangeability(model, params, n, seed_count, seed, window):
         moved = oracle_restrict_path(oracle_relabel_path(path, perm), window)
         moved.validate()
         relabeled[r] = moved.event_count
-    ks = stats.ks_2samp(plain, relabeled, method="asymp")
-    return float(ks.statistic), float(ks.pvalue)
+    return _ks_two_sample(plain, relabeled)
 
 
 @pytest.mark.parametrize("model,params,n,window", [
@@ -1384,8 +1415,7 @@ def oracle_pair_id_report(model, params, n, seed_count, seed, window):
             inside = np.maximum(position[ii], position[jj]) < window
             sample.append(np.count_nonzero(inside[pair_ids(base + [stream, r])]))
         samples.append(np.array(sample, dtype=float))
-    ks = stats.ks_2samp(*samples, method="asymp")
-    return ExchangeabilityReport(seed_count, float(ks.statistic), float(ks.pvalue))
+    return ExchangeabilityReport(seed_count, *_ks_two_sample(*samples))
 
 
 @pytest.mark.parametrize("model,params,n,seed_count,seed", [
